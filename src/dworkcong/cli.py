@@ -195,8 +195,10 @@ def _format_zeta_row(row: dict) -> str:
 def _cmd_unitroot(args) -> int:
     if args.s < 1:
         raise ValueError("--s must be >= 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1")
     if args.sweep:
-        reports = unit_root_sweep(args.p, args.s, jobs=max(args.jobs, 1))
+        reports = unit_root_sweep(args.p, args.s, jobs=args.jobs)
     else:
         reports = [unit_root_compare(args.p, args.t, args.s)]
     rows = [r.as_dict() for r in reports]

@@ -37,7 +37,8 @@ from .ghost import (
     length_p,
     reconstruct_b,
 )
-from .laurent import LaurentPoly, TruncSeries, constant_term_sequence
+from .laurent import (LaurentPoly, TruncSeries, _mul_mod_lists,
+                      constant_term_sequence)
 from .padic import _context_modulus
 from .polytope import is_admissible
 
@@ -79,17 +80,6 @@ def f_trunc(b, p: int, s: int, K: int) -> TruncSeries:
     if len(b) < need:
         raise ValueError(f"need b through index {need - 1}, got {len(b)} values")
     return TruncSeries(p, K, need - 1, list(b[:need]))
-
-
-def _poly_mul_mod(a, b, modulus):
-    """Dense product of coefficient lists, reduced mod `modulus`."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return [v % modulus for v in out]
 
 
 def _expand_xp(a, p):
@@ -135,8 +125,8 @@ def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     admissible, bs = _prepare(lam, p, K, b, need, force)
     modulus = p**K
     ps = p**s
-    lhs = _poly_mul_mod(bs[: p ** (s + 1)], _expand_xp(bs[: p ** (s - 1)], p), modulus)
-    rhs = _poly_mul_mod(bs[: p**s], _expand_xp(bs[: p**s], p), modulus)
+    lhs = _mul_mod_lists(bs[: p ** (s + 1)], _expand_xp(bs[: p ** (s - 1)], p), modulus)
+    rhs = _mul_mod_lists(bs[: p**s], _expand_xp(bs[: p**s], p), modulus)
     witness = None
     top = max(len(lhs), len(rhs))
     lhs += [0] * (top - len(lhs))
@@ -233,6 +223,8 @@ def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    if n_max < 0 or m_max < 0:
+        raise ValueError("n_max and m_max must be non-negative")
     K = s if K is None else K
     if K < s:
         raise ValueError(f"precision K={K} < s={s}")

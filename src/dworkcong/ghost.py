@@ -33,8 +33,6 @@ from itertools import product
 from .laurent import LaurentPoly, PowerCache, constant_term_of_product
 from .padic import PadicInt, _context_modulus
 
-GhostTuple = tuple
-
 
 def length_p(n: int, p: int) -> int:
     """Number of base-p digits of n, with length_p(0) = 1."""

@@ -5,18 +5,44 @@ integers, one entry per variable) to nonzero coefficients.  The coefficient
 ring is either the exact integers (p is None) or Z/p**K; operands of ring
 operations must agree on both the arity and the ring.
 
-The sparse map is the right shape here because the n-th power of a
-d-variable polynomial has O(n^d) terms spread over a scaled Newton polytope;
-dense arrays would waste space on skewed supports.  Multiplication is plain
-term-by-term accumulation into a fresh map, with a single modular reduction
-pass at the end.
+The sparse map is the right shape to hold the n-th power of a d-variable
+polynomial, whose O(n^d) terms spread over a scaled Newton polytope.  To
+multiply mod m = p**K, though, the factors go through one Kronecker kernel
+(Kronecker substitution; D. Harvey, arXiv:0712.4046).  The product's
+exponent box maps to one index with fixed strides, last coordinate fastest,
+and each factor becomes one big integer holding its residues in
+fixed-width slots; a single CPython int multiply does the convolution.  The
+slot is the narrowest byte-aligned one (8, 16, 32 or 64 bits) that holds
+the largest value a slot can reach, min(len a, len b) * (m-1)**2, so no
+carry crosses into the next slot.  Slots are read back through `array` and
+reduced mod m.
+
+Constant-term sweeps keep the running power packed from step to step: each
+step multiplies by the packed base and b_n is read from the origin's slot.
+Slots are reduced lazily, only when the tracked largest slot value would
+overflow on the next step, and a polynomial is decoded only where a caller
+keeps the power.
+
+The plain dict multiply -- term-by-term accumulation into a fresh map, one
+reduction at the end -- handles the rest: exact coefficients, slot bounds
+beyond 64 bits, and supports too sparse for their box (fewer term pairs
+than box slots), such as X -> X**p substitutions or the powers of
+x1+x2+x3+1/(x1*x2*x3), which lie on a sublattice.  The choice depends only
+on term counts, box volume and the slot bound.  The dict multiply is also
+the oracle the kernel is tested against.
 
 Also provided: truncated power series with coefficients mod p**K, supporting
-multiplication, substitution X -> X**p and inversion of unit-constant-term
-series -- enough to form quotients like f(X)/f(X**p) to a cutoff.
+multiplication (the same kernel in one variable), substitution X -> X**p and
+inversion of unit-constant-term series -- enough to form quotients like
+f(X)/f(X**p) to a cutoff.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from itertools import compress, count
+from operator import add
 
 from .padic import _context_modulus
 
@@ -38,7 +64,7 @@ class LaurentPoly:
     are reproducible.
     """
 
-    __slots__ = ("arity", "p", "K", "modulus", "_coeffs")
+    __slots__ = ("arity", "p", "K", "modulus", "_coeffs", "_bounds")
 
     def __init__(self, arity, coeffs=None, p=None, K=None):
         if not isinstance(arity, int) or arity < 1:
@@ -63,6 +89,7 @@ class LaurentPoly:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "_bounds", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -106,7 +133,7 @@ class LaurentPoly:
     def _ring_name(self):
         return "Z" if self.p is None else f"Z/{self.p}^{self.K}"
 
-    def _make(self, coeffs):
+    def _make(self, coeffs, bounds=None):
         # internal fast path: coeffs already canonical (no zeros, right arity)
         out = object.__new__(LaurentPoly)
         object.__setattr__(out, "arity", self.arity)
@@ -114,7 +141,18 @@ class LaurentPoly:
         object.__setattr__(out, "K", self.K)
         object.__setattr__(out, "modulus", self.modulus)
         object.__setattr__(out, "_coeffs", coeffs)
+        object.__setattr__(out, "_bounds", bounds)
         return out
+
+    def _box(self):
+        """(lo, hi) exponent vectors of a box containing the support, which
+        must be nonempty; cached.  A dict product records the sum of its
+        factors' boxes, so a sweep never rescans its running power."""
+        if self._bounds is None:
+            columns = list(zip(*self._coeffs))
+            object.__setattr__(self, "_bounds", (tuple(map(min, columns)),
+                                                 tuple(map(max, columns))))
+        return self._bounds
 
     def reduce_mod(self, p, K):
         """Image in Z/p**K.  From the exact ring, or from the same p with K' >= K."""
@@ -204,6 +242,17 @@ class LaurentPoly:
         if isinstance(other, int):
             return self._scalar_mul(other)
         self._same_ring(other)
+        # the shorter factor plays the base, whose length bounds the slots
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        walk = _packed_walk(a, b, 1)
+        if walk is None:
+            return self._mul_dict(other)
+        walk.step()
+        return walk.poly()
+
+    def _mul_dict(self, other):
+        """Term-by-term product: the exact-ring path and the packed kernel's oracle."""
+        self._same_ring(other)
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -222,14 +271,18 @@ class LaurentPoly:
         else:
             for e2, c2 in b.items():
                 for e1, c1 in a.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     out[e] = get(e, 0) + c1 * c2
         m = self.modulus
         if m is None:
             out = {e: c for e, c in out.items() if c}
         else:
             out = {e: cm for e, c in out.items() if (cm := c % m)}
-        return self._make(out)
+        bounds = None
+        if self._bounds and other._bounds and out:
+            (lo, hi), (olo, ohi) = self._bounds, other._bounds
+            bounds = tuple(map(add, lo, olo)), tuple(map(add, hi, ohi))
+        return self._make(out, bounds)
 
     def _scalar_mul(self, c):
         m = self.modulus
@@ -300,23 +353,179 @@ class LaurentPoly:
         return f"LaurentPoly({self}; ring={self._ring_name()}, arity={self.arity})"
 
 
+# -- Kronecker kernel -----------------------------------------------------------
+
+_ORDER = sys.byteorder  # int <-> bytes in the order `array` reads its items
+# (bits, array typecode) for every byte-aligned slot width, narrowest first
+_SLOTS = tuple(sorted({8 * array(tc).itemsize: tc for tc in "QLIHB"}.items()))
+
+
+def _slot(bound):
+    """(bits, typecode) of the narrowest slot holding 0..bound, or None."""
+    for bits, tc in _SLOTS:
+        if bound >> bits == 0:
+            return bits, tc
+    return None
+
+
+def _slots(x, tc):
+    """The slots of the packed integer x as an array of typecode tc."""
+    slots = array(tc)
+    size = slots.itemsize
+    slots.frombytes(x.to_bytes(-(-x.bit_length() // (8 * size)) * size, _ORDER))
+    return slots
+
+
+def _pack(coeffs, lo, strides, tc):
+    """Coefficients (residues) in the slots of one integer; `lo` maps to slot 0."""
+    index = [0] * len(coeffs)
+    for column, l, s in zip(zip(*coeffs), lo, strides):
+        index = [i + (x - l) * s for i, x in zip(index, column)]
+    slots = array(tc, [0]) * (max(index) + 1)
+    for i, c in zip(index, coeffs.values()):
+        slots[i] = c
+    return int.from_bytes(slots, _ORDER)
+
+
+def _mul_mod_lists(a, b, m, length=None):
+    """The first `length` (default: all) coefficients of the product of two
+    lists of residues mod m, reduced mod m: one Kronecker product in one
+    variable, or the schoolbook sum when the slot bound exceeds 64 bits."""
+    if length is None:
+        length = len(a) + len(b) - 1
+    slot = _slot(min(len(a), len(b)) * (m - 1) ** 2)
+    if slot is None:
+        out = [0] * length
+        for i, ai in enumerate(a[:length]):
+            if ai:
+                for j, bj in enumerate(b[: length - i]):
+                    out[i + j] += ai * bj
+        return [v % m for v in out]
+    tc = slot[1]
+    x = int.from_bytes(array(tc, a), _ORDER) * int.from_bytes(array(tc, b), _ORDER)
+    out = [v % m for v in _slots(x, tc)[:length]]
+    return out + [0] * (length - len(out))
+
+
+class _PackedWalk:
+    """The powers cur * base**k, k = 0..steps, kept as one packed integer.
+
+    The exponent box is fixed for the whole walk, box(cur) + steps * box(base),
+    so the packed value is never re-strided.  Each step multiplies by the
+    packed base and moves the box's low corner `lo` by base's.  Slots are
+    reduced mod m only when the tracked largest slot value `top`, times the
+    sum of base's coefficients, would overflow a slot.
+    """
+
+    def __init__(self, cur, base, lo, base_lo, widths, slot):
+        self.m = base.modulus
+        self.ring = base  # makes the decoded polynomials
+        self.lo = lo
+        self.base_lo = base_lo
+        self.widths = widths
+        self.strides = [1] * len(widths)
+        for i in range(len(widths) - 1, 0, -1):
+            self.strides[i - 1] = self.strides[i] * widths[i]
+        self.bits, self.tc = slot
+        self.base = _pack(base._coeffs, base_lo, self.strides, self.tc)
+        self.weight = sum(base._coeffs.values())
+        self.x = _pack(cur._coeffs, lo, self.strides, self.tc)
+        self.top = self.m - 1
+
+    def step(self):
+        if self.top * self.weight >> self.bits:
+            m = self.m
+            self.x = int.from_bytes(
+                array(self.tc, [v % m for v in _slots(self.x, self.tc)]), _ORDER)
+            self.top = m - 1
+        self.x *= self.base
+        self.top *= self.weight
+        self.lo = [l + b for l, b in zip(self.lo, self.base_lo)]
+
+    def constant_term(self):
+        index = 0
+        for l, w, s in zip(self.lo, self.widths, self.strides):
+            if not 0 <= -l < w:
+                return 0
+            index -= l * s
+        bits = self.bits
+        return (self.x >> (index * bits) & ((1 << bits) - 1)) % self.m
+
+    def poly(self):
+        m = self.m
+        slots = _slots(self.x, self.tc)
+        index = list(compress(count(), slots))
+        residues = [slots[i] % m for i in index]
+        index = list(compress(index, residues))
+        columns = [[i // s % w + l for i in index]
+                   for l, w, s in zip(self.lo, self.widths, self.strides)]
+        return self.ring._make(dict(zip(zip(*columns), filter(None, residues))))
+
+
+def _packed_walk(cur, base, steps):
+    """A packed walk from cur by `steps` multiplications by base, or None
+    when the dict multiply applies: exact coefficients, an empty factor, a
+    slot bound len(base) * (m-1)**2 beyond 64 bits, or a first product with
+    fewer term pairs than slots in its box (a support too sparse for it)."""
+    m = base.modulus
+    if m is None or not cur or not base:
+        return None
+    slot = _slot(len(base) * (m - 1) ** 2)
+    if slot is None:
+        return None
+    lo, hi = cur._box()
+    base_lo, base_hi = base._box()
+    spans = [b - a for a, b in zip(base_lo, base_hi)]
+    volume = 1
+    for l, h, s in zip(lo, hi, spans):
+        volume *= h - l + s + 1
+    if len(cur) * len(base) < volume:
+        return None
+    widths = [h - l + steps * s + 1 for l, h, s in zip(lo, hi, spans)]
+    return _PackedWalk(cur, base, lo, base_lo, widths, slot)
+
+
+class _DictWalk:
+    """The same walk through `LaurentPoly.__mul__`, one product per step."""
+
+    def __init__(self, cur, base):
+        self.cur = cur
+        self.base = base
+
+    def step(self):
+        self.cur = self.cur * self.base
+
+    def constant_term(self):
+        return self.cur.constant_term()
+
+    def poly(self):
+        return self.cur
+
+
+def _walk(cur, base, steps):
+    return _packed_walk(cur, base, steps) or _DictWalk(cur, base)
+
+
 def constant_term_sequence(lam: LaurentPoly, N: int, p=None, K=None) -> list:
     """Constant terms b_0..b_N of the powers lam**0, lam**1, ..., lam**N.
 
     Computed in lam's coefficient ring, or mod p**K when (p, K) is given.
     Uses iterated multiplication (not binary powering): every intermediate
     power is needed anyway, and multiplying the running power by the fixed
-    small factor is cheaper than repeated squaring of large supports.
+    small factor is cheaper than repeated squaring of large supports.  Mod
+    p**K the running power stays packed and only its origin slot is read.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a non-negative integer")
     if p is not None:
         lam = lam.reduce_mod(p, K)
-    out = [1]
-    cur = LaurentPoly.one(lam.arity, p=lam.p, K=lam.K)
-    for _ in range(N):
-        cur = cur * lam
-        out.append(cur.constant_term())
+    if N == 0:
+        return [1]
+    out = [1, lam.constant_term()]
+    walk = _walk(lam, lam, N - 1)
+    for _ in range(N - 1):
+        walk.step()
+        out.append(walk.constant_term())
     return out
 
 
@@ -359,7 +568,8 @@ class PowerCache:
     A request for the n-th power walks up from the largest power already
     saved below n, multiplying by the base; only marked indices (plus the
     requested one) are retained, so memory stays proportional to the powers
-    actually used.  Constant terms of every consecutive power are recorded
+    actually used.  Mod p**K a walk stays packed and decodes only the powers
+    it retains.  Constant terms of every consecutive power are recorded
     separately by `constant_terms`, whose pass also saves any marked powers
     it walks through -- mark first, then ask for constant terms, and the
     whole cache fills in a single sweep.
@@ -371,7 +581,8 @@ class PowerCache:
         self._saved = {0: one, 1: base}
         self._marks = set()
         self._cts = [1, base.constant_term()]
-        self._ct_power = base
+        self._ct_walk = _DictWalk(base, base)  # at power len(_cts) - 1
+        self._ct_walk_end = 1  # the highest power that walk was planned for
 
     def mark(self, indices):
         """Register power indices worth retaining when a walk passes them."""
@@ -384,24 +595,26 @@ class PowerCache:
         if got is not None:
             return got
         start = max(k for k in self._saved if k < n)
-        cur = self._saved[start]
+        walk = _walk(self._saved[start], self.base, n - start)
         for i in range(start + 1, n + 1):
-            cur = cur * self.base
+            walk.step()
             if i == n or i in self._marks:
-                self._saved[i] = cur
-        return cur
+                self._saved[i] = walk.poly()
+        return self._saved[n]
 
     def constant_terms(self, N: int) -> list:
         """Constant terms of powers 0..N (iterated multiplication)."""
-        cur = self._ct_power
         k = len(self._cts) - 1
+        if N > self._ct_walk_end:
+            self._ct_walk = _walk(self._ct_walk.poly(), self.base, N - k)
+            self._ct_walk_end = N
+        walk = self._ct_walk
         while k < N:
             k += 1
-            cur = cur * self.base
-            self._cts.append(cur.constant_term())
-            if k in self._marks:
-                self._saved.setdefault(k, cur)
-        self._ct_power = cur
+            walk.step()
+            self._cts.append(walk.constant_term())
+            if k in self._marks and k not in self._saved:
+                self._saved[k] = walk.poly()
         return self._cts[: N + 1]
 
 
@@ -459,17 +672,9 @@ class TruncSeries:
 
     def __mul__(self, other):
         self._same_ring(other)
-        m = self.modulus
         N = self.N
-        out = [0] * (N + 1)
-        a, b = self.coeffs, other.coeffs
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(N + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return TruncSeries(self.p, self.K, N, [v % m for v in out])
+        return TruncSeries(self.p, self.K, N, _mul_mod_lists(
+            self.coeffs, other.coeffs, self.modulus, N + 1))
 
     def compose_xp(self) -> "TruncSeries":
         """Substitute X -> X**p, dropping terms beyond the cutoff."""

@@ -18,12 +18,17 @@ and its coefficient inverted.  Implicit multiplication ("2x1") is rejected
 with a hint to write '*'.
 
 Errors are reported as ParseError carrying the byte offset of the offending
-token.
+token.  Nesting ('(' and unary '-') is bounded by MAX_DEPTH levels, so a
+deeply nested input is refused before the recursive descent exhausts the
+interpreter's stack.
 """
 
 from __future__ import annotations
 
 from .laurent import LaurentPoly
+
+
+MAX_DEPTH = 100  # each '(' level costs four Python frames, each unary '-' one
 
 
 class ParseError(ValueError):
@@ -74,6 +79,7 @@ class _Parser:
     def __init__(self, tokens, arity, p, K):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.arity = arity
         self.p = p
         self.K = K
@@ -85,6 +91,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, pos):
+        """Enter one nesting level opened by the token at `pos`."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
 
     def expect(self, kind):
         tok = self.advance()
@@ -129,8 +141,10 @@ class _Parser:
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
+            self.nest(self.advance()[2])
+            result = -self.factor()
+            self.depth -= 1
+            return result
         base = self.atom()
         if self.peek()[0] == "^":
             self.advance()
@@ -163,10 +177,12 @@ class _Parser:
                 )
             return LaurentPoly.variable(self.arity, value, p=self.p, K=self.K)
         if kind == "(":
+            self.nest(pos)
             inner = self.expr()
             closing = self.advance()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])
+            self.depth -= 1
             return inner
         raise ParseError(f"expected integer, variable or '(', found {kind!r}", pos)
 

@@ -23,8 +23,6 @@ from itertools import product
 
 from .laurent import LaurentPoly
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

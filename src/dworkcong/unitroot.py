@@ -35,6 +35,7 @@ coefficient tuple, constant term first), so reports are bit-reproducible.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from itertools import product
 
@@ -579,10 +580,14 @@ def unit_root_compare(p: int, t: int, s: int, b=None) -> ZetaReport:
 def unit_root_sweep(p: int, s: int, jobs: int = 1) -> list:
     """unit_root_compare for every t in F_p^*, merged in order of t.
 
-    jobs > 1 distributes fibers over processes; the output order stays by t.
+    jobs > 1 distributes fibers over processes, never more than there are
+    fibers or CPUs; the output order stays by t.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     b = apery_numbers_mod(p**s - 1, p**s)
     ts = list(range(1, p))
+    jobs = min(jobs, len(ts), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -116,6 +116,14 @@ def test_check_dig2_and_digit(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--nmax", "--mmax"])
+def test_check_dig2_negative_range_exit2(capsys, flag):
+    code, out, err = run(capsys, "check", "dig2", "--p", "2", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
 def test_check_non_admissible_refused_exit2(capsys):
     code, out, err = run(capsys, "check", "c2", "--poly", "x1^2+x1^-1",
                          "--d", "1", "--p", "2")
@@ -179,6 +187,15 @@ def test_unitroot_jobs_equivalent(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_unitroot_jobs_below_one_exit2(capsys, jobs):
+    for mode in (["--sweep"], ["--t", "1"]):
+        code, out, err = run(capsys, "unitroot", "--p", "5", *mode, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
+
+
 # -- error handling and plumbing -------------------------------------------------
 
 
@@ -186,6 +203,14 @@ def test_parse_error_exit2(capsys):
     code, _, err = run(capsys, "ct", "--poly", "2x1", "--d", "1", "--N", "3")
     assert code == 2
     assert "position" in err
+
+
+def test_deeply_nested_poly_exit2(capsys):
+    poly = "(" * 3000 + "x1" + ")" * 3000
+    code, out, err = run(capsys, "ct", "--poly", poly, "--d", "1", "--N", "3")
+    assert code == 2
+    assert out == ""
+    assert "nested" in err and "position" in err
 
 
 def test_invalid_prime_exit2(capsys):

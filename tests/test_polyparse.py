@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dworkcong.laurent import LaurentPoly
-from dworkcong.polyparse import ParseError, parse_poly
+from dworkcong.polyparse import MAX_DEPTH, ParseError, parse_poly
 
 APERY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 
@@ -110,6 +110,20 @@ def test_error_positions():
     assert err.value.position == 3
     with pytest.raises(ParseError):
         parse_poly("", 1)
+
+
+def test_nesting_depth_bounded():
+    deepest = "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH
+    assert parse_poly(deepest, 1) == parse_poly("x1", 1)
+    assert parse_poly("-" * MAX_DEPTH + "x1", 1) == parse_poly("x1", 1)
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" + deepest + ")", 1)
+    assert err.value.position == MAX_DEPTH
+    with pytest.raises(ParseError) as err:
+        parse_poly("(-" * 60 + "x1" + ")" * 60, 1)  # both kinds count
+    assert err.value.position == MAX_DEPTH  # the 101st opener
+    with pytest.raises(ParseError):
+        parse_poly("(" * 3000 + "x1" + ")" * 3000, 1)
 
 
 def test_whitespace_insensitivity():

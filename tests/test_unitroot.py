@@ -330,6 +330,42 @@ def test_sweep_order_and_jobs():
     assert [r.as_dict() for r in par] == [r.as_dict() for r in seq]
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, forks nothing."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_jobs_clamped(monkeypatch):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    seq = [r.as_dict() for r in unit_root_sweep(5, 1)]
+    _SerialPool.workers.clear()
+    for cpus, jobs, used in [(64, 10**9, 4), (3, 10**9, 3), (None, 8, None),
+                             (64, 2, 2), (64, 1, None)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = [r.as_dict() for r in unit_root_sweep(5, 1, jobs=jobs)]
+        assert got == seq
+        assert _SerialPool.workers == ([used] if used else [])
+        _SerialPool.workers.clear()
+    with pytest.raises(ValueError):
+        unit_root_sweep(5, 1, jobs=0)
+
+
 def test_zeta_report_is_frozen_dataclass():
     r = ZetaReport(p=5, t=1, smooth=True, count=5)
     with pytest.raises(Exception):
