@@ -2,7 +2,7 @@
 
 Everything downstream (the mod-p^s congruences) requires the Newton
 polytope of L to contain the origin as its only interior lattice point.
-The test is exact: membership is decided by rational linear programming,
+The test is exact: membership is decided by integer facet inequalities,
 never by floating point.
 """
 

@@ -15,11 +15,22 @@ import functools
 from dataclasses import dataclass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (the smallest strong pseudoprime to all of them, psi_13).
+# With bases up to 37 only, psi_12 = 318665857834031151167461 passed as prime.
+PRIME_TEST_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for all n < 3.3e24)."""
+    """Miller-Rabin test with the first 13 primes as bases.
+
+    Exact for every n < PRIME_TEST_BOUND (about 3.3e24); above it a True
+    means only "strong probable prime to those bases".
+    """
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -27,7 +38,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -45,6 +56,9 @@ def _context_modulus(p: int, K: int) -> int:
     """Validate a (p, K) context once and return p**K."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"p = {p} is too large: primality is decided exactly "
+                         f"only below {PRIME_TEST_BOUND}")
     if not isinstance(K, int) or K < 1:
         raise ValueError(f"precision K = {K} must be an integer >= 1")
     return p**K

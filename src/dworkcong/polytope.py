@@ -1,133 +1,137 @@
-"""Newton polytopes and exact lattice geometry via rational linear programming.
+"""Newton polytopes and exact lattice geometry via integer facet inequalities.
 
-Membership questions are decided exactly: the simplex method is run over
-`fractions.Fraction` with Bland's pivoting rule, which terminates without any
-numerical tolerance questions.  Supports here are tiny (tens of points), so
-correctness wins over speed.
+Each `LatticePolytope` builds, once and on first use, an integer
+H-representation of the hull of its generating points:
 
-Closed membership of q in conv(S) is a phase-1 feasibility problem for a
-convex combination.  Strict interior membership is the single LP
+* the affine-hull equations `e.x = c`, one per vector of an integer kernel
+  basis of the difference vectors `p - p0`;
+* the primitive facet normals `a.x <= b`.  The hull has some dimension
+  r <= d, and projecting onto r pivot coordinates of the difference
+  vectors is injective on its affine hull.  Every facet there is spanned by
+  r generating points, so each r-subset gives the cofactor normal of its
+  difference vectors; divided by its gcd, it is kept (oriented outwards)
+  when every generating point lies on one side.  Lifted back with zeros
+  in the other coordinates it is valid on the affine hull.
 
-    maximize eps  s.t.  q + eps*w in conv(S)  for all 2d axis directions w,
-
-because a convex body contains a ball around q iff it contains such a
-cross-polytope.  Dimension-deficient hulls need no special casing: the
-optimum is then 0, correctly reporting an empty interior.
+Membership then needs only dot products, exact for integer and `Fraction`
+queries: closed membership is every equation and every facet inequality;
+strict interior membership is `r == d` together with `a.q < b` for every
+facet, because a hull of lower dimension has no interior and a
+full-dimensional one is the intersection of its facet half-spaces.  A
+generating point is a vertex when the facets tight at it have normals of
+rank r.  The build costs about C(m, r) * m dot products for m generating
+points, which is immediate for the supports of tens of points this tool
+targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, lcm
+from operator import mul
 
 from .laurent import LaurentPoly
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _dot(a, q):
+    return sum(map(mul, a, q))
 
 
-def _pivot(rows, basis, r, col):
-    prow = rows[r]
-    piv = prow[col]
-    if piv != 1:
-        rows[r] = prow = [v / piv for v in prow]
-    for i, row in enumerate(rows):
-        if i != r and row[col]:
-            f = row[col]
-            rows[i] = [a - f * b for a, b in zip(row, prow)]
-    basis[r] = col
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
-def _bland(rows, basis, cost, ncols):
-    """Run simplex pivots (Bland's rule) until optimal or unbounded."""
-    m = len(rows)
-    while True:
-        cb = [cost[b] for b in basis]
-        entering = None
-        for j in range(ncols):
-            r = cost[j]
-            for i in range(m):
-                if cb[i] and rows[i][j]:
-                    r -= cb[i] * rows[i][j]
-            if r > 0:
-                entering = j
-                break
-        if entering is None:
-            return "optimal"
-        leaving = None
-        best = None
-        for i in range(m):
-            a = rows[i][entering]
-            if a > 0:
-                key = (rows[i][-1] / a, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leaving = i
-        if leaving is None:
-            return "unbounded"
-        _pivot(rows, basis, leaving, entering)
+def _rref(rows, ncols):
+    """Reduced row echelon form over Q: (its nonzero rows, their pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        piv = rows[r][col]
+        prow = rows[r] = [v / piv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
 
 
-def _phase1(A, b):
-    """Feasible basis for {Ax = b, x >= 0}, or None if infeasible."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        rhs = Fraction(b[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [_ZERO] * m
-        art[i] = _ONE
-        rows.append(row + art + [rhs])
-    basis = list(range(n, n + m))
-    cost = [_ZERO] * n + [-_ONE] * m
-    _bland(rows, basis, cost, n + m)
-    if any(basis[i] >= n and rows[i][-1] != 0 for i in range(len(rows))):
-        return None
-    i = 0
-    while i < len(rows):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j] != 0), None)
-            if col is None:
-                del rows[i]
-                del basis[i]
-                continue
-            _pivot(rows, basis, i, col)
-        i += 1
-    return rows, basis, n
+def _kernel(rows, pivots, ncols):
+    """Primitive integer basis of the null space of a matrix in RREF."""
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        den = lcm(*(x.denominator for x in v))
+        basis.append(_primitive([int(x * den) for x in v]))
+    return basis
 
 
-def lp_feasible(A, b) -> bool:
-    """Whether {x >= 0 : Ax = b} is nonempty (exact rational arithmetic)."""
-    return _phase1(A, b) is not None
+def _det(m):
+    """Determinant of a small square integer matrix (Laplace expansion)."""
+    if not m:
+        return 1
+    return _dot(m[0], _cofactor_normal(m[1:], len(m)))
 
 
-def lp_maximize(A, b, c):
-    """Maximize c.x over {x >= 0 : Ax = b}.
+def _cofactor_normal(rows, r):
+    """Normal in Z^r to r - 1 vectors: their signed maximal minors."""
+    return [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows])
+            for j in range(r)]
 
-    Returns (status, value) with status one of "infeasible", "unbounded",
-    "optimal"; value is a Fraction when optimal, else None.
+
+def _h_representation(points):
+    """(rank, equations, facets) of conv(points); see the module docstring.
+
+    Equations are pairs (e, c) meaning e.x == c, facets pairs (a, b) meaning
+    a.x <= b, all integer and primitive.
     """
-    prepared = _phase1(A, b)
-    if prepared is None:
-        return "infeasible", None
-    rows, basis, n = prepared
-    cost = [Fraction(v) for v in c] + [_ZERO] * (len(rows[0]) - 1 - len(c))
-    status = _bland(rows, basis, cost, n)
-    if status == "unbounded":
-        return "unbounded", None
-    value = sum(cost[basis[i]] * rows[i][-1] for i in range(len(rows)))
-    return "optimal", value
+    d = len(points[0])
+    base = points[0]
+    rows, pivots = _rref([[x - y for x, y in zip(pt, base)] for pt in points[1:]], d)
+    equations = tuple((e, _dot(e, base)) for e in _kernel(rows, pivots, d))
+    r = len(pivots)
+    proj = [tuple(pt[c] for c in pivots) for pt in points]
+    facets = set()
+    if r:
+        for subset in combinations(proj, r):
+            q0 = subset[0]
+            normal = _cofactor_normal(
+                [tuple(x - y for x, y in zip(q, q0)) for q in subset[1:]], r)
+            if not any(normal):
+                continue
+            normal = _primitive(normal)
+            b = _dot(normal, q0)
+            values = [_dot(normal, q) for q in proj]
+            if max(values) == b:
+                facets.add((normal, b))
+            elif min(values) == b:
+                facets.add((tuple(-x for x in normal), -b))
+    lifted = []
+    for normal, b in sorted(facets):
+        a = [0] * d
+        for col, x in zip(pivots, normal):
+            a[col] = x
+        lifted.append((tuple(a), b))
+    return r, equations, tuple(lifted)
 
 
 class LatticePolytope:
     """Convex hull of a finite set of integer points (the generating points)."""
 
-    __slots__ = ("arity", "points", "_vertices")
+    __slots__ = ("arity", "points", "_vertices", "_hrep")
 
     def __init__(self, arity, points):
         if not isinstance(arity, int) or arity < 1:
@@ -145,9 +149,16 @@ class LatticePolytope:
         self.points = tuple(sorted(clean))
         self.arity = arity
         self._vertices = None
+        self._hrep = None
+
+    def _inequalities(self):
+        """(rank, equations, facets), built on first use and then kept."""
+        if self._hrep is None:
+            self._hrep = _h_representation(self.points)
+        return self._hrep
 
     def _check_point(self, q):
-        q = tuple(Fraction(x) for x in q)
+        q = tuple(x if isinstance(x, int) else Fraction(x) for x in q)
         if len(q) != self.arity:
             raise ValueError(f"query point {q} does not have arity {self.arity}")
         return q
@@ -155,58 +166,25 @@ class LatticePolytope:
     def contains(self, q, strict=False) -> bool:
         """Exact membership of a rational point, closed or strict-interior."""
         q = self._check_point(q)
-        d = self.arity
-        pts = self.points
-        m = len(pts)
-        if not strict:
-            A = [[pt[t] for pt in pts] for t in range(d)]
-            A.append([1] * m)
-            b = list(q) + [1]
-            return lp_feasible(A, b)
-        ndirs = 2 * d
-        ncols = ndirs * m + 1
-        A = []
-        b = []
-        for j in range(ndirs):
-            axis, sign = divmod(j, 2)
-            w = 1 if sign == 0 else -1
-            base = j * m
-            for t in range(d):
-                row = [0] * ncols
-                for i, pt in enumerate(pts):
-                    row[base + i] = pt[t]
-                if t == axis:
-                    row[-1] = -w
-                A.append(row)
-                b.append(q[t])
-            row = [0] * ncols
-            for i in range(m):
-                row[base + i] = 1
-            A.append(row)
-            b.append(1)
-        c = [0] * (ncols - 1) + [1]
-        status, value = lp_maximize(A, b, c)
-        return status == "optimal" and value > 0
+        rank, equations, facets = self._inequalities()
+        if strict:
+            return rank == self.arity and all(_dot(a, q) < b for a, b in facets)
+        return (all(_dot(e, q) == c for e, c in equations)
+                and all(_dot(a, q) <= b for a, b in facets))
 
     def vertices(self):
         """Generating points not in the hull of the others, lex-sorted.
 
-        One closed-membership LP per generating point.
+        A generating point is a vertex when the normals of the facets tight
+        at it span the hull's direction space.
         """
         if self._vertices is None:
-            verts = []
-            d = self.arity
-            for v in self.points:
-                others = [pt for pt in self.points if pt != v]
-                if not others:
-                    verts.append(v)
-                    continue
-                A = [[pt[t] for pt in others] for t in range(d)]
-                A.append([1] * len(others))
-                b = list(v) + [1]
-                if not lp_feasible(A, b):
-                    verts.append(v)
-            self._vertices = verts
+            rank, _, facets = self._inequalities()
+            self._vertices = [
+                v for v in self.points
+                if len(_rref([a for a, b in facets if _dot(a, v) == b],
+                             self.arity)[1]) == rank
+            ]
         return list(self._vertices)
 
     def interior_lattice_points(self):

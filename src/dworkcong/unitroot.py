@@ -548,6 +548,7 @@ def unit_root_compare(p: int, t: int, s: int, b=None) -> ZetaReport:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    _context_modulus(p, 1)
     if t % p == 0:
         raise ValueError("t must be nonzero mod p")
     t = t % p
@@ -585,6 +586,7 @@ def unit_root_sweep(p: int, s: int, jobs: int = 1) -> list:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    _context_modulus(p, 1)
     b = apery_numbers_mod(p**s - 1, p**s)
     ts = list(range(1, p))
     jobs = min(jobs, len(ts), os.cpu_count() or 1)

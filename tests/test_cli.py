@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -217,6 +218,20 @@ def test_invalid_prime_exit2(capsys):
     code, _, err = run(capsys, "check", "c2", "--p", "4")
     assert code == 2
     assert "prime" in err
+
+
+@pytest.mark.parametrize("p,why", [
+    ("318665857834031151167461", "not prime"),  # psi_12, passed bases 2..37
+    (str(2**89 - 1), "too large"),  # prime, beyond exact primality testing
+])
+@pytest.mark.parametrize("mode", [("--t", "1"), ("--sweep",)])
+def test_unitroot_huge_p_exit2_at_once(capsys, p, why, mode):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "unitroot", "--p", p, *mode)
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert why in err
 
 
 def test_usage_error_exit2(capsys):

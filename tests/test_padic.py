@@ -3,6 +3,7 @@ import random
 import pytest
 
 from dworkcong.padic import (
+    PRIME_TEST_BOUND,
     PadicInt,
     hensel_quadratic_unit_root,
     is_prime,
@@ -129,3 +130,21 @@ def test_pow_and_reduce():
     assert x.reduce_precision(1).residue == 12 % 7
     with pytest.raises(ValueError):
         x.reduce_precision(4)
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to every base up to 37
+
+
+def test_is_prime_beyond_base_37():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not is_prime(PSI_12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_context_refuses_p_beyond_exact_primality():
+    below = next(n for n in range(PRIME_TEST_BOUND - 2, 0, -2) if is_prime(n))
+    assert PadicInt(below, 1, 5).residue == 5
+    with pytest.raises(ValueError, match="too large"):
+        PadicInt(2**89 - 1, 1, 0)
+    with pytest.raises(ValueError, match="not prime"):
+        PadicInt(PSI_12, 1, 0)

@@ -1,18 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from dworkcong import polytope
 from dworkcong.ghost import GhostCalculator
 from dworkcong.laurent import LaurentPoly
 from dworkcong.polyparse import parse_poly
-from dworkcong.polytope import (
-    LatticePolytope,
-    is_admissible,
-    lp_feasible,
-    lp_maximize,
-    newton_polytope,
-)
+from dworkcong.polytope import LatticePolytope, is_admissible, newton_polytope
+from lp_oracle import lp_contains, lp_feasible, lp_maximize, lp_vertices
 
 APERY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 PENTAGON = [(-1, -1), (-1, 1), (0, 1), (1, -1), (1, 0)]
@@ -215,3 +212,135 @@ def test_ghost_newton_containment_small():
         ps = 2**s
         for e in R.support():
             assert hull.contains(tuple(Fraction(x, ps) for x in e))
+
+
+# -- differential tests against the simplex LP (tests/lp_oracle.py) ------------
+
+
+def _queries(points):
+    """The bounding box's lattice points, each generating point moved one step
+    along each axis (one step outside at the extremes), midpoints of pairs
+    (edges and diagonals), centroids of triples in 3-d (facets), the
+    centroid, and each generating point pushed a seventh of the way beyond
+    itself from the centroid."""
+    d = len(points[0])
+    qs = set(_box(points))
+    for pt in points:
+        for t in range(d):
+            for step in (-1, 1):
+                qs.add(pt[:t] + (pt[t] + step,) + pt[t + 1 :])
+    for a, b in combinations(points, 2):
+        qs.add(tuple(Fraction(x + y, 2) for x, y in zip(a, b)))
+    if d >= 3:
+        for a, b, c in combinations(points, 3):
+            qs.add(tuple(Fraction(x + y + z, 3) for x, y, z in zip(a, b, c)))
+    centre = tuple(Fraction(sum(pt[t] for pt in points), len(points)) for t in range(d))
+    qs.add(centre)
+    for pt in points:
+        qs.add(tuple(x + (x - c) / 7 for x, c in zip(pt, centre)))
+    return sorted(qs)
+
+
+def _box(points):
+    d = len(points[0])
+    return product(*(range(min(pt[t] for pt in points), max(pt[t] for pt in points) + 1)
+                     for t in range(d)))
+
+
+def assert_matches_oracle(arity, points):
+    """contains (closed and strict), vertices and interior_lattice_points
+    agree with the simplex LP on conv(points)."""
+    P = LatticePolytope(arity, points)
+    pts = P.points
+    assert P.vertices() == lp_vertices(pts), pts
+    strict = {}
+    for q in _queries(pts):
+        closed = lp_contains(pts, q)
+        assert P.contains(q) == closed, (pts, q)
+        # The strict interior lies in the closed hull: outside it the strict
+        # LP is infeasible, so it runs only on closed members.
+        strict[q] = closed and lp_contains(pts, q, strict=True)
+        assert P.contains(q, strict=True) == strict[q], (pts, q)
+    assert P.interior_lattice_points() == [q for q in _box(pts) if strict[q]], pts
+
+
+SUITE_SUPPORTS = [
+    (APERY_SRC, 2),
+    ("x1+x1^-1", 1),
+    ("x1+x2+x1^-1*x2^-1", 2),
+    ("x1+x2+x3+x1^-1*x2^-1*x3^-1", 3),
+    ("(x1+x1^-1)^3", 1),
+    ("x1^2+x1^-2+x1", 1),
+]
+
+
+@pytest.mark.parametrize("src,d", SUITE_SUPPORTS)
+def test_suite_supports_match_lp_oracle(src, d):
+    assert_matches_oracle(d, parse_poly(src, d).support())
+
+
+def test_pentagon_matches_lp_oracle():
+    assert_matches_oracle(2, PENTAGON)
+
+
+def test_small_planar_supports_match_lp_oracle():
+    grid = list(product((-1, 0, 1), repeat=2))
+    for k in range(1, 5):
+        for pts in combinations(grid, k):
+            assert_matches_oracle(2, pts)
+
+
+def test_random_spatial_supports_match_lp_oracle():
+    rng = random.Random(20261018)
+    for _ in range(10):
+        pts = {tuple(rng.randint(-2, 2) for _ in range(3))
+               for _ in range(rng.randint(1, 6))}
+        assert_matches_oracle(3, sorted(pts))
+
+
+@pytest.mark.parametrize("pts", [
+    [(2, -1)],
+    [(-1, -1), (0, 0), (2, 2)],
+    [(1, 0, -1)],
+    [(0, 0, 0), (1, 2, 3), (-1, -2, -3)],
+    [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (-1, 1, 0)],
+    [(1, 1, 0), (-1, 0, 2), (0, -1, 1), (2, 1, -1)],
+])
+def test_dimension_deficient_hulls_match_lp_oracle(pts):
+    assert_matches_oracle(len(pts[0]), pts)
+
+
+# -- the facet cache and hulls rebuilt from their vertices -------------------------
+
+
+@pytest.mark.parametrize("src,d", SUITE_SUPPORTS)
+def test_hull_of_vertices_answers_alike(src, d):
+    P = newton_polytope(parse_poly(src, d))
+    V = LatticePolytope(d, P.vertices())
+    assert V.vertices() == P.vertices()
+    assert V.interior_lattice_points() == P.interior_lattice_points()
+    for q in _queries(P.points):
+        assert V.contains(q) == P.contains(q), q
+        assert V.contains(q, strict=True) == P.contains(q, strict=True), q
+
+
+def test_facets_built_once_per_polytope(monkeypatch):
+    builds = []
+    real = polytope._h_representation
+
+    def counting(points):
+        builds.append(points)
+        return real(points)
+
+    monkeypatch.setattr(polytope, "_h_representation", counting)
+    P = newton_polytope(apery())
+    assert builds == []
+    P.vertices()
+    for q in _queries(P.points):
+        P.contains(q)
+        P.contains(q, strict=True)
+    P.interior_lattice_points()
+    P.vertices()
+    assert builds == [P.points]
+    assert is_admissible(apery()).admissible
+    assert len(builds) == 2
