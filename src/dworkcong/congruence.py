@@ -90,8 +90,8 @@ def _expand_xp(a, p):
     return out
 
 
-def _prepare(lam, p, K, b, need, force):
-    """Shared preamble: admissibility gate plus the b-sequence mod p**K."""
+def _admissible(lam, force) -> bool:
+    """The admissibility gate: raises NotAdmissibleError unless `force`."""
     report = is_admissible(lam)
     if not report.admissible and not force:
         raise NotAdmissibleError(
@@ -99,6 +99,12 @@ def _prepare(lam, p, K, b, need, force):
             f"integral point (interior points: {list(report.interior_points)}); "
             "pass force=True to run the check anyway"
         )
+    return report.admissible
+
+
+def _prepare(lam, p, K, b, need, force):
+    """Shared preamble: admissibility gate plus the b-sequence mod p**K."""
+    admissible = _admissible(lam, force)
     modulus = _context_modulus(p, K)
     if b is not None:
         if len(b) < need:
@@ -106,7 +112,7 @@ def _prepare(lam, p, K, b, need, force):
         bs = [v % modulus for v in b[:need]]
     else:
         bs = constant_term_sequence(lam.reduce_mod(p, K), need - 1)
-    return report.admissible, bs
+    return admissible, bs
 
 
 def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
@@ -268,14 +274,7 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
         raise ValueError("guard must be >= 1")
     t0 = time.perf_counter()
     K_max = length_p(n_max, p) - 1 + guard
-    report = is_admissible(lam)
-    if not report.admissible and not force:
-        raise NotAdmissibleError(
-            "the Newton polytope does not have the origin as its only interior "
-            f"integral point (interior points: {list(report.interior_points)}); "
-            "pass force=True to run the check anyway"
-        )
-    admissible = report.admissible
+    admissible = _admissible(lam, force)
     calc = GhostCalculator(lam, p=p, K=K_max)
     if b is not None:
         if len(b) <= n_max:

@@ -18,14 +18,13 @@ Hasse invariant of the family, so ordinariness can also be read off the
 domain test.  Supersingular and singular t are reported, never silently
 skipped, so sweep tables are complete.
 
-Smoothness is decided by exhaustive search for common projective zeros of
-the partial derivatives over F_{p**k}, k = 1..4: the singular locus of a
-plane cubic is cut out by two conics, so by Bezout any singular point has
-residue degree at most 4.  For p >= 5 the search runs chart by chart,
-solving for the second coordinate as a quadratic (an exhaustive scan over
-the first coordinate); for p in {2, 3} every point of P**2(F_{p**k}) is
-tried directly, including the vanishing of F itself (the Euler relation
-3F = X F_X + Y F_Y + Z F_Z says nothing in characteristic 3).
+Smoothness is one rank computation over F_p (`is_smooth_cubic`): F has no
+singular point over the algebraic closure exactly when the degree-5
+multiples of F, F_X, F_Y and F_Z span all quintics.  The tests check it
+against a search for singular points over F_{p**k}, k <= 4
+(tests/smooth_oracle.py).
+
+Every request is estimated before any work and refused above WORK_BUDGET.
 
 Finite fields F_{p**k} are realized as quotient rings by a deterministic
 irreducible modulus (first monic irreducible in lexicographic order of the
@@ -42,7 +41,36 @@ from itertools import product
 from .apery import apery_numbers_mod
 from .padic import PadicInt, _context_modulus, hensel_quadratic_unit_root, teichmuller
 
+# Work budget of one unit-root request, in point evaluations of a cubic
+# (about 4 microseconds each with CPython 3.11 on a 2-vCPU x86 host, so
+# the budget is about 40 s).  A request counts fibers * p**2 evaluations
+# for its point counts, plus N + N**2 // 2048 for the Apery numbers
+# b_0..b_{N-1}, N = p**s: the exact terms grow by about 3.5 bits per index,
+# so the recurrence costs time quadratic in N.
+WORK_BUDGET = 10**7
+
+
+def _check_work(p: int, s: int, fibers: int) -> None:
+    """Refuse (ValueError) a request whose estimated work is over budget."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    n = p**s if s < WORK_BUDGET.bit_length() else WORK_BUDGET + 1
+    if fibers * p * p + n + n * n // 2048 > WORK_BUDGET:
+        raise ValueError(
+            f"p={p}, s={s} with {fibers} fiber(s) needs more than the work "
+            f"budget of {WORK_BUDGET} point evaluations (b through p**s - 1 "
+            "and a point count over F_p per fiber)")
+
+
 # -- Dwork domain and approximants -------------------------------------------
+
+
+def _eval_mod(coeffs, z: int, m: int) -> int:
+    """sum(coeffs[n] * z**n) mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * z + c) % m
+    return acc
 
 
 def dwork_domain_test(b, p: int, z: int) -> bool:
@@ -53,10 +81,7 @@ def dwork_domain_test(b, p: int, z: int) -> bool:
     """
     if len(b) < p:
         raise ValueError(f"need b through index {p - 1}, got {len(b)} values")
-    acc = 0
-    for c in reversed(b[:p]):
-        acc = (acc * z + c) % p
-    return acc != 0
+    return _eval_mod(b[:p], z, p) != 0
 
 
 def omega_approx(b, p: int, z: PadicInt, s: int) -> PadicInt:
@@ -71,18 +96,12 @@ def omega_approx(b, p: int, z: PadicInt, s: int) -> PadicInt:
         raise ValueError(f"z lives over p={z.p}, requested p={p}")
     if z.K < s:
         raise ValueError(f"z has precision {z.K} < s={s}")
-    need = p**s
-    if len(b) < need:
-        raise ValueError(f"need b through index {need - 1}, got {len(b)} values")
     m = p**s
+    if len(b) < m:
+        raise ValueError(f"need b through index {m - 1}, got {len(b)} values")
     zr = z.residue % m
-    num = 0
-    for c in reversed(b[:need]):
-        num = (num * zr + c) % m
-    zp = pow(zr, p, m)
-    den = 0
-    for c in reversed(b[: p ** (s - 1)]):
-        den = (den * zp + c) % m
+    num = _eval_mod(b[:m], zr, m)
+    den = _eval_mod(b[: p ** (s - 1)], pow(zr, p, m), m)
     if den % p == 0:
         raise ValueError(
             f"f_{s - 1}(z**p) = {den} is not a unit mod {p}: z is outside the "
@@ -319,171 +338,56 @@ def count_projective_points(cubic: PlaneCubic) -> int:
 
 # -- smoothness ---------------------------------------------------------------
 
-
-def _eval_quad_field(field, quad, x, y, z):
-    total = field.zero
-    for (a, b, c), coef in zip(QUAD_MONOMIALS, quad):
-        if coef:
-            term = field.scalar(coef)
-            for _ in range(a):
-                term = field.mul(term, x)
-            for _ in range(b):
-                term = field.mul(term, y)
-            for _ in range(c):
-                term = field.mul(term, z)
-            total = field.add(total, term)
-    return total
+_QUINTIC_INDEX = {mono: i for i, mono in enumerate(
+    (a, b, 5 - a - b) for a in range(5, -1, -1) for b in range(5 - a, -1, -1))}
 
 
-def _eval_cubic_field(field, cubic, x, y, z):
-    total = field.zero
-    for (a, b, c), coef in zip(CUBIC_MONOMIALS, cubic.coeffs):
-        if coef:
-            term = field.scalar(coef)
-            for _ in range(a):
-                term = field.mul(term, x)
-            for _ in range(b):
-                term = field.mul(term, y)
-            for _ in range(c):
-                term = field.mul(term, z)
-            total = field.add(total, term)
-    return total
-
-
-def _projective_points(field):
-    one = field.one
-    zero = field.zero
-    for x in field.elements():
-        for y in field.elements():
-            yield x, y, one
-    for x in field.elements():
-        yield x, one, zero
-    yield one, zero, zero
-
-
-def _has_singular_point_naive(cubic: PlaneCubic, k: int) -> bool:
-    """Scan all of P**2(F_{p**k}) for a common zero of F and its partials."""
-    field = finite_field(cubic.p, k)
-    quads = cubic.partials()
-    zero = field.zero
-    for x, y, z in _projective_points(field):
-        if _eval_cubic_field(field, cubic, x, y, z) != zero:
+def _rank_mod_p(rows, p) -> int:
+    """Rank over F_p of integer rows, by Gaussian elimination (rows consumed)."""
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
             continue
-        if all(_eval_quad_field(field, q, x, y, z) == zero for q in quads):
-            return True
-    return False
-
-
-def _quad_roots(field, A, B, C):
-    """Roots of A y**2 + B y + C over F_q, odd characteristic.
-
-    Returns a list of roots, or None meaning "identically zero" (every y).
-    """
-    zero = field.zero
-    if A == zero:
-        if B == zero:
-            return None if C == zero else []
-        return [field.neg(field.mul(C, field.inv(B)))]
-    disc = field.sub(field.mul(B, B),
-                     field.mul(field.scalar(4), field.mul(A, C)))
-    root = field.sqrt(disc)
-    if root is None:
-        return []
-    inv2a = field.inv(field.mul(field.scalar(2), A))
-    if root == zero:
-        return [field.mul(field.neg(B), inv2a)]
-    return [
-        field.mul(field.sub(root, B), inv2a),
-        field.mul(field.sub(field.neg(root), B), inv2a),
-    ]
-
-
-def _common_quad_roots(field, triples):
-    """Common roots of several y-quadratics; None means every y works."""
-    live = [t for t in triples if any(v != field.zero for v in t)]
-    if not live:
-        return None
-    roots = _quad_roots(field, *live[0])
-    if roots is None:
-        # the first triple was nonzero yet vanished identically: impossible
-        raise AssertionError("nonzero quadratic cannot vanish identically")
-    out = []
-    for y in roots:
-        ok = True
-        for A, B, C in live[1:]:
-            val = field.add(field.mul(A, field.mul(y, y)),
-                            field.add(field.mul(B, y), C))
-            if val != field.zero:
-                ok = False
-                break
-        if ok:
-            out.append(y)
-    return out
-
-
-def _has_singular_point_charts(cubic: PlaneCubic, k: int) -> bool:
-    """Common zero of the partials over F_{p**k}, p >= 5, chart by chart.
-
-    On the chart Z = 1 each partial is a quadratic in y with coefficients
-    quadratic in x, so an exhaustive scan over x plus exact quadratic solving
-    covers every point.  The Euler relation (3 invertible) guarantees F
-    itself vanishes wherever all partials do.
-    """
-    field = finite_field(cubic.p, k)
-    quads = cubic.partials()
-    zero = field.zero
-
-    # chart Z = 1: partial g -> A y^2 + B(x) y + C(x)
-    # with A = g020, B = g110 x + g011, C = g200 x^2 + g101 x + g002
-    parts = []
-    for g200, g110, g101, g020, g011, g002 in quads:
-        parts.append((
-            field.scalar(g020),
-            (field.scalar(g110), field.scalar(g011)),
-            (field.scalar(g200), field.scalar(g101), field.scalar(g002)),
-        ))
-    for x in field.elements():
-        x2 = field.mul(x, x)
-        triples = []
-        for A, (b1, b0), (c2, c1, c0) in parts:
-            B = field.add(field.mul(b1, x), b0)
-            C = field.add(field.add(field.mul(c2, x2), field.mul(c1, x)), c0)
-            triples.append((A, B, C))
-        roots = _common_quad_roots(field, triples)
-        if roots is None or roots:
-            return True
-
-    # line Z = 0, points (x : 1 : 0): each partial restricts to a quadratic
-    # in x with coefficients g200, g110, g020
-    triples = [(field.scalar(g[0]), field.scalar(g[1]), field.scalar(g[3]))
-               for g in quads]
-    roots = _common_quad_roots(field, triples)
-    if roots is None or roots:
-        return True
-
-    # the point (1 : 0 : 0)
-    if all(field.scalar(g[0]) == zero for g in quads):
-        return True
-    return False
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        top = rows[rank] = [v * inv % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 @functools.lru_cache(maxsize=None)
-def is_smooth_cubic(cubic: PlaneCubic, kmax: int = 4) -> bool:
-    """Whether F has no singular point over the algebraic closure.
+def is_smooth_cubic(cubic: PlaneCubic) -> bool:
+    """Whether F has no singular point over the algebraic closure of F_p.
 
-    Exhaustive search over F_{p**k} for k = 1..kmax; kmax = 4 suffices for
-    plane cubics (the two partial-derivative conics meet in at most 4
-    points, so singular points have residue degree at most 4).  Cached:
-    cubics are immutable and the scan is the expensive step.
+    The singular points are the common projective zeros of F, F_X, F_Y and
+    F_Z, and they have none exactly when the ideal I these forms generate
+    holds every quintic.  If they have no common zero, Lazard's form of
+    Macaulay's bound (forms of degrees 3, 2, 2, ... in three variables) puts
+    every form of degree 3 + 2 + 2 - 2 = 5 in I.  If I holds X**5, Y**5 and
+    Z**5, a common zero would be a zero of all three, and there is none.
+    The quintics of I are spanned by the 36 products of F with the six
+    quadratic monomials and of each partial with the ten cubic monomials,
+    so the test is that these span all 21 quintic monomials: one rank over
+    F_p, which equals the rank over the closure.  F must be among the
+    forms: in characteristic 3 the Euler relation 3F = X F_X + Y F_Y + Z F_Z
+    does not put F in the partials' ideal.  Cached: cubics are immutable
+    and sweeps revisit them.
     """
-    for k in range(1, kmax + 1):
-        if cubic.p <= 3:
-            if _has_singular_point_naive(cubic, k):
-                return False
-        else:
-            if _has_singular_point_charts(cubic, k):
-                return False
-    return True
+    forms = [(CUBIC_MONOMIALS, cubic.coeffs, QUAD_MONOMIALS)]
+    forms += [(QUAD_MONOMIALS, q, CUBIC_MONOMIALS) for q in cubic.partials()]
+    rows = []
+    for monos, coeffs, multipliers in forms:
+        for sx, sy, sz in multipliers:
+            row = [0] * len(_QUINTIC_INDEX)
+            for (a, b, c), coef in zip(monos, coeffs):
+                row[_QUINTIC_INDEX[a + sx, b + sy, c + sz]] = coef
+            rows.append(row)
+    return _rank_mod_p(rows, cubic.p) == len(_QUINTIC_INDEX)
 
 
 def a_p(cubic: PlaneCubic) -> int:
@@ -546,12 +450,11 @@ def unit_root_compare(p: int, t: int, s: int, b=None) -> ZetaReport:
     otherwise it is generated from the recurrence.  Singular and
     supersingular fibers yield a report without unit-root fields.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
     _context_modulus(p, 1)
     if t % p == 0:
         raise ValueError("t must be nonzero mod p")
     t = t % p
+    _check_work(p, s, 1)
     if b is None:
         b = apery_numbers_mod(p**s - 1, p**s)
     cubic = apery_fiber(p, t)
@@ -560,9 +463,7 @@ def unit_root_compare(p: int, t: int, s: int, b=None) -> ZetaReport:
     if not smooth:
         return ZetaReport(p=p, t=t, smooth=False, count=count)
     ap = p + 1 - count
-    hasse_rhs = 0
-    for c in reversed(b[:p]):
-        hasse_rhs = (hasse_rhs * t + c) % p
+    hasse_rhs = _eval_mod(b[:p], t, p)
     ordinary = ap % p != 0
     report = dict(
         p=p, t=t, smooth=True, count=count, a_p=ap, ordinary=ordinary,
@@ -587,6 +488,7 @@ def unit_root_sweep(p: int, s: int, jobs: int = 1) -> list:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _context_modulus(p, 1)
+    _check_work(p, s, p - 1)
     b = apery_numbers_mod(p**s - 1, p**s)
     ts = list(range(1, p))
     jobs = min(jobs, len(ts), os.cpu_count() or 1)

@@ -234,6 +234,17 @@ def test_unitroot_huge_p_exit2_at_once(capsys, p, why, mode):
     assert why in err
 
 
+@pytest.mark.parametrize("p,s", [("1000003", "1"), ("2", "40")])
+@pytest.mark.parametrize("mode", [("--t", "1"), ("--sweep",)])
+def test_unitroot_over_work_budget_exit2_at_once(capsys, p, s, mode):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "unitroot", "--p", p, "--s", s, *mode)
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
 def test_usage_error_exit2(capsys):
     assert main(["check"]) == 2
     capsys.readouterr()

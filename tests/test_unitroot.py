@@ -7,6 +7,8 @@ import pytest
 from dworkcong.apery import apery_numbers, apery_numbers_mod
 from dworkcong.padic import PadicInt, teichmuller
 from dworkcong.unitroot import (
+    CUBIC_MONOMIALS,
+    QUAD_MONOMIALS,
     FqField,
     PlaneCubic,
     ZetaReport,
@@ -21,7 +23,12 @@ from dworkcong.unitroot import (
     unit_root_compare,
     unit_root_sweep,
 )
-from dworkcong.unitroot import _has_singular_point_charts, _has_singular_point_naive
+from dworkcong.unitroot import _check_work
+from smooth_oracle import (
+    _has_singular_point_charts,
+    _has_singular_point_naive,
+    search_is_smooth,
+)
 
 # Frozen by exhaustive search: a plane cubic over F_2 with no projective point.
 POINTLESS_F2 = (1, 0, 0, 1, 1, 1, 1, 0, 1, 1)
@@ -232,6 +239,83 @@ def test_smoothness_chart_search_matches_naive():
             for k in (1, 2):
                 assert (_has_singular_point_charts(c, k)
                         == _has_singular_point_naive(c, k)), (p, t, k)
+
+
+def test_smoothness_matches_oracle_on_all_f2_cubics():
+    # 28 of them have their first singular point over F_4 and 8 over F_8
+    smooth = 0
+    for coeffs in product(range(2), repeat=10):
+        if any(coeffs):
+            c = PlaneCubic(2, coeffs)
+            assert is_smooth_cubic(c) == search_is_smooth(c), coeffs
+            smooth += is_smooth_cubic(c)
+    assert 0 < smooth < 1023
+
+
+def _line_times_conic(p, line, conic):
+    prod = dict.fromkeys(CUBIC_MONOMIALS, 0)
+    for m1, a in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), line):
+        for m2, b in zip(QUAD_MONOMIALS, conic):
+            mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            prod[mono] = (prod[mono] + a * b) % p
+    return PlaneCubic(p, tuple(prod[m] for m in CUBIC_MONOMIALS))
+
+
+def test_smoothness_matches_oracle_on_line_conic_products():
+    # a line times a conic is singular where they meet, which may be only
+    # over F_{p**2}: the rank test must see points the F_p scan cannot
+    rng = random.Random(2024)
+    for p in (3, 5, 7):
+        search = _has_singular_point_naive if p <= 3 else _has_singular_point_charts
+        nonsquare = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) != 1)
+        cubics = [_line_times_conic(p, (0, 0, 1), (1, 0, 0, -nonsquare, 0, 1))]
+        while len(cubics) < 40:
+            line = [rng.randrange(p) for _ in range(3)]
+            conic = [rng.randrange(p) for _ in range(6)]
+            if any(line) and any(conic):
+                cubics.append(_line_times_conic(p, line, conic))
+        assert not search(cubics[0], 1)
+        for c in cubics:
+            assert not is_smooth_cubic(c) and not search_is_smooth(c), (p, c)
+        assert sum(not search(c, 1) for c in cubics) >= 2, p
+
+
+def test_smoothness_matches_oracle_on_apery_fibers():
+    for p in (2, 3, 5, 7):
+        for t in range(1, p):
+            c = apery_fiber(p, t)
+            assert is_smooth_cubic(c) == search_is_smooth(c), (p, t)
+
+
+def test_apery_fibers_singular_exactly_at_beukers_points():
+    # the singular points of the Apery zeta(2) equation: t**2 + 11t - 1 = 0
+    for p in range(2, 100):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        for t in range(1, p):
+            singular = (t * t + 11 * t - 1) % p == 0
+            assert is_smooth_cubic(apery_fiber(p, t)) != singular, (p, t)
+
+
+def test_smoothness_in_characteristic_three_needs_f():
+    # X**3 + Y**3 + Z**3 - XYZ over F_3: the partials -YZ, -XZ, -XY vanish
+    # together at (1:0:0), off the curve, so only F's own multiples make the
+    # quintics span and the cubic count as smooth
+    c = PlaneCubic(3, (1, 0, 0, 0, -1, 0, 1, 0, 0, 1))
+    assert all(q[0] == 0 for q in c.partials()) and c.evaluate(1, 0, 0) != 0
+    assert is_smooth_cubic(c) and search_is_smooth(c)
+
+
+def test_work_budget():
+    # admitted: the largest sweeps the suite and the benchmark run, and a
+    # p = 101 sweep; refused: a large p, a deep s and s far beyond any p**s
+    for p, s, fibers in [(3, 9, 2), (7, 5, 6), (5, 6, 4), (19, 1, 18), (101, 2, 100)]:
+        _check_work(p, s, fibers)
+    for p, s, fibers in [(1000003, 1, 1), (2, 40, 1), (2, 10**12, 1), (3, 15, 2)]:
+        with pytest.raises(ValueError, match="budget"):
+            _check_work(p, s, fibers)
+    with pytest.raises(ValueError, match="s must be"):
+        _check_work(5, 0, 4)
 
 
 def test_a_p_requires_smooth():
