@@ -23,7 +23,7 @@ from . import congruence as cong
 from .apery import APERY_POLY_SRC
 from .laurent import constant_term_sequence
 from .polyparse import ParseError, parse_poly
-from .polytope import is_admissible, newton_polytope
+from .polytope import _admissibility, newton_polytope
 from .unitroot import unit_root_compare, unit_root_sweep
 
 _BIG = 2**53
@@ -114,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_ct(args) -> int:
     lam = parse_poly(args.poly, args.d, p=args.p, K=args.K)
-    if args.N < 0:
-        raise ValueError("--N must be non-negative")
     b = constant_term_sequence(lam, args.N)
     config = {"poly": args.poly, "d": args.d, "N": args.N,
               "p": args.p, "K": args.K}
@@ -127,16 +125,17 @@ def _cmd_ct(args) -> int:
 def _cmd_newton(args) -> int:
     lam = parse_poly(args.poly, args.d)
     poly = newton_polytope(lam)
-    report = is_admissible(lam)
+    vertices = poly.vertices()
+    report = _admissibility(poly)
     config = {"poly": args.poly, "d": args.d}
     result = {
-        "vertices": [list(v) for v in poly.vertices()],
+        "vertices": [list(v) for v in vertices],
         "interior_points": [list(v) for v in report.interior_points],
         "admissible": report.admissible,
     }
     doc = {"command": "newton", "config": config, "results": [result]}
     lines = [
-        "vertices: " + " ".join(str(tuple(v)) for v in poly.vertices()),
+        "vertices: " + " ".join(str(tuple(v)) for v in vertices),
         "interior lattice points: "
         + (" ".join(str(tuple(v)) for v in report.interior_points) or "(none)"),
         f"admissible: {str(report.admissible).lower()}",
@@ -148,14 +147,14 @@ def _cmd_newton(args) -> int:
 def _cmd_check(args) -> int:
     lam = parse_poly(args.poly, args.d)
     kind = args.kind
-    N_default = args.p ** (args.s + 1) - 1
+    N = args.N
+    if N is None and kind in ("c1", "digit"):
+        N = args.p ** (args.s + 1) - 1
     if kind == "c2":
         report = cong.check_c2(lam, args.p, args.s, K=args.K, force=args.force)
     elif kind == "c1":
-        N = args.N if args.N is not None else N_default
         report = cong.check_c1(lam, args.p, args.s, N, K=args.K, force=args.force)
     elif kind == "digit":
-        N = args.N if args.N is not None else N_default
         report = cong.check_digit_product(lam, args.p, N, force=args.force)
     elif kind == "dig2":
         report = cong.check_dig2(lam, args.p, args.s, args.nmax, args.mmax,
@@ -193,8 +192,6 @@ def _format_zeta_row(row: dict) -> str:
 
 
 def _cmd_unitroot(args) -> int:
-    if args.s < 1:
-        raise ValueError("--s must be >= 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1")
     if args.sweep:

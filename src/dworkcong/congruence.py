@@ -12,7 +12,8 @@ f_s(X) = sum_{n < p**s} b_n X**n.  The checks:
 
 (c2) is the primary check: it is a pure polynomial identity with no
 invertibility hypothesis.  (c1) is gated on b_0 being a unit, in which case
-the two are equivalent.  The default working precision is K = s: both sides
+the two are equivalent.  The precision rule of c2, c1 and dig2: s >= 1, and
+the working precision K defaults to s and may not be below it.  Both sides
 involve only ring operations and divisions by units mod p**s, so no guard
 digits are mathematically required; pass K > s for diagnostics.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .ghost import (
     GhostCalculator,
@@ -90,6 +92,16 @@ def _expand_xp(a, p):
     return out
 
 
+def _precision(s, K):
+    """The working precision K of a check at level s, by the module's rule."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    K = s if K is None else K
+    if K < s:
+        raise ValueError(f"precision K={K} < s={s}")
+    return K
+
+
 def _admissible(lam, force) -> bool:
     """The admissibility gate: raises NotAdmissibleError unless `force`."""
     report = is_admissible(lam)
@@ -102,17 +114,35 @@ def _admissible(lam, force) -> bool:
     return report.admissible
 
 
-def _prepare(lam, p, K, b, need, force):
-    """Shared preamble: admissibility gate plus the b-sequence mod p**K."""
-    admissible = _admissible(lam, force)
+def _prepare(lam, p, K, b, need, sweep=None):
+    """b_0..b_{need-1} mod p**K: the supplied b, else a constant-term sweep.
+
+    `sweep(N)` returns b_0..b_N; by default it is a fresh sweep over the
+    powers of lam mod p**K.
+    """
     modulus = _context_modulus(p, K)
-    if b is not None:
-        if len(b) < need:
-            raise ValueError(f"need b through index {need - 1}, got {len(b)} values")
-        bs = [v % modulus for v in b[:need]]
-    else:
-        bs = constant_term_sequence(lam.reduce_mod(p, K), need - 1)
-    return admissible, bs
+    if b is None:
+        if sweep is None:
+            return constant_term_sequence(lam.reduce_mod(p, K), need - 1)
+        return sweep(need - 1)
+    if len(b) < need:
+        raise ValueError(f"need b through index {need - 1}, got {len(b)} values")
+    return [v % modulus for v in b[:need]]
+
+
+def _first_mismatch(lhs, rhs, m):
+    """The c1/c2 witness: the lowest power of X whose coefficients differ mod m."""
+    for n, (u, v) in enumerate(zip_longest(lhs, rhs, fillvalue=0)):
+        if (u - v) % m:
+            return {"exponent": n, "lhs": u % m, "rhs": v % m}
+    return None
+
+
+def _report(check, params, admissible, witness, t0):
+    """The report of one check, its wall time counted from t0."""
+    return CongruenceReport(check=check, params=params, admissible=admissible,
+                            passed=witness is None, witness=witness,
+                            wall_time=time.perf_counter() - t0)
 
 
 def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
@@ -121,34 +151,16 @@ def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     Both products are formed in full and compared coefficient by
     coefficient; needs b through p**(s+1) - 1.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    K = s if K is None else K
-    if K < s:
-        raise ValueError(f"precision K={K} < s={s}")
+    K = _precision(s, K)
     t0 = time.perf_counter()
+    admissible = _admissible(lam, force)
     need = p ** (s + 1)
-    admissible, bs = _prepare(lam, p, K, b, need, force)
+    bs = _prepare(lam, p, K, b, need)
     modulus = p**K
-    ps = p**s
-    lhs = _mul_mod_lists(bs[: p ** (s + 1)], _expand_xp(bs[: p ** (s - 1)], p), modulus)
+    lhs = _mul_mod_lists(bs, _expand_xp(bs[: p ** (s - 1)], p), modulus)
     rhs = _mul_mod_lists(bs[: p**s], _expand_xp(bs[: p**s], p), modulus)
-    witness = None
-    top = max(len(lhs), len(rhs))
-    lhs += [0] * (top - len(lhs))
-    rhs += [0] * (top - len(rhs))
-    for n in range(top):
-        if (lhs[n] - rhs[n]) % ps:
-            witness = {"exponent": n, "lhs": lhs[n] % ps, "rhs": rhs[n] % ps}
-            break
-    return CongruenceReport(
-        check="c2",
-        params={"p": p, "s": s, "K": K, "b_through": need - 1},
-        admissible=admissible,
-        passed=witness is None,
-        witness=witness,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report("c2", {"p": p, "s": s, "K": K, "b_through": need - 1},
+                   admissible, _first_mismatch(lhs, rhs, p**s), t0)
 
 
 def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=False):
@@ -157,43 +169,24 @@ def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=Fal
     Ill-posed when b_0 is not a unit (the denominators are then not
     invertible as truncated series); (c2) remains checkable in that case.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    K = _precision(s, K)
     if N < 0:
         raise ValueError("N must be non-negative")
-    K = s if K is None else K
-    if K < s:
-        raise ValueError(f"precision K={K} < s={s}")
     t0 = time.perf_counter()
-    admissible, bs = _prepare(lam, p, K, b, N + 1, force)
+    admissible = _admissible(lam, force)
+    bs = _prepare(lam, p, K, b, N + 1)
     if bs[0] % p == 0:
         raise ValueError(
             f"b_0 = {bs[0]} is not a unit mod {p}: (c1) is ill-posed "
             "(series quotients undefined); (c2) remains checkable"
         )
-    ps = p**s
     f_full = TruncSeries(p, K, N, bs)
     f_s = TruncSeries(p, K, N, bs[: min(p**s, N + 1)])
     f_sm1 = TruncSeries(p, K, N, bs[: min(p ** (s - 1), N + 1)])
     lhs = f_full * f_full.compose_xp().invert()
     rhs = f_s * f_sm1.compose_xp().invert()
-    witness = None
-    for n in range(N + 1):
-        if (lhs.coeffs[n] - rhs.coeffs[n]) % ps:
-            witness = {
-                "exponent": n,
-                "lhs": lhs.coeffs[n] % ps,
-                "rhs": rhs.coeffs[n] % ps,
-            }
-            break
-    return CongruenceReport(
-        check="c1",
-        params={"p": p, "s": s, "K": K, "N": N},
-        admissible=admissible,
-        passed=witness is None,
-        witness=witness,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report("c1", {"p": p, "s": s, "K": K, "N": N}, admissible,
+                   _first_mismatch(lhs.coeffs, rhs.coeffs, p**s), t0)
 
 
 def check_digit_product(lam: LaurentPoly, p: int, N: int, b=None, force=False):
@@ -201,7 +194,8 @@ def check_digit_product(lam: LaurentPoly, p: int, N: int, b=None, force=False):
     if N < 0:
         raise ValueError("N must be non-negative")
     t0 = time.perf_counter()
-    admissible, bs = _prepare(lam, p, 1, b, N + 1, force)
+    admissible = _admissible(lam, force)
+    bs = _prepare(lam, p, 1, b, N + 1)
     witness = None
     for n in range(N + 1):
         prodd = 1
@@ -210,14 +204,7 @@ def check_digit_product(lam: LaurentPoly, p: int, N: int, b=None, force=False):
         if (bs[n] - prodd) % p:
             witness = {"n": n, "lhs": bs[n] % p, "rhs": prodd}
             break
-    return CongruenceReport(
-        check="digit",
-        params={"p": p, "N": N},
-        admissible=admissible,
-        passed=witness is None,
-        witness=witness,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report("digit", {"p": p, "N": N}, admissible, witness, t0)
 
 
 def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
@@ -227,17 +214,13 @@ def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
     for all 0 <= n <= n_max, 0 <= m <= m_max.  The witness is the
     lexicographically smallest offending (n, m).
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    K = _precision(s, K)
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be non-negative")
-    K = s if K is None else K
-    if K < s:
-        raise ValueError(f"precision K={K} < s={s}")
     t0 = time.perf_counter()
-    need = n_max + m_max * p**s + 1
-    admissible, bs = _prepare(lam, p, K, b, need, force)
+    admissible = _admissible(lam, force)
     ps = p**s
+    bs = _prepare(lam, p, K, b, n_max + m_max * ps + 1)
     witness = None
     for n in range(n_max + 1):
         for m in range(m_max + 1):
@@ -248,14 +231,8 @@ def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
                 break
         if witness:
             break
-    return CongruenceReport(
-        check="dig2",
-        params={"p": p, "s": s, "n_max": n_max, "m_max": m_max, "K": K},
-        admissible=admissible,
-        passed=witness is None,
-        witness=witness,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report("dig2", {"p": p, "s": s, "n_max": n_max, "m_max": m_max, "K": K},
+                   admissible, witness, t0)
 
 
 def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
@@ -276,14 +253,9 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
     K_max = length_p(n_max, p) - 1 + guard
     admissible = _admissible(lam, force)
     calc = GhostCalculator(lam, p=p, K=K_max)
-    if b is not None:
-        if len(b) <= n_max:
-            raise ValueError(f"need b through index {n_max}, got {len(b)} values")
-        bs = [v % p**K_max for v in b[: n_max + 1]]
-    else:
-        # sharing the calculator's power cache: the constant-term pass also
-        # fills the ghost checkpoints, so everything costs one sweep
-        bs = calc.constant_terms(n_max)
+    # sharing the calculator's power cache: the constant-term pass also
+    # fills the ghost checkpoints, so everything costs one sweep
+    bs = _prepare(lam, p, K_max, b, n_max + 1, calc.constant_terms)
     c_dir = [calc.c_direct(n) for n in range(n_max + 1)]
     c_inv = c_from_b_sequence(bs, n_max, p, K_max)
     modulus = p**K_max
@@ -304,11 +276,5 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
             witness = {"n": n, "failure": "reconstruction",
                        "lhs": rb, "rhs": bs[n] % modulus}
             break
-    return CongruenceReport(
-        check="lemma",
-        params={"p": p, "n_max": n_max, "guard": guard, "K": K_max},
-        admissible=admissible,
-        passed=witness is None,
-        witness=witness,
-        wall_time=time.perf_counter() - t0,
-    )
+    return _report("lemma", {"p": p, "n_max": n_max, "guard": guard, "K": K_max},
+                   admissible, witness, t0)

@@ -235,8 +235,13 @@ def is_admissible(lam: LaurentPoly) -> AdmissibilityReport:
     congruence checkers (behind an explicit override) but the congruences
     are no longer guaranteed; the report lists the offending points.
     """
-    interior = tuple(newton_polytope(lam).interior_lattice_points())
-    origin = (0,) * lam.arity
+    return _admissibility(newton_polytope(lam))
+
+
+def _admissibility(poly: LatticePolytope) -> AdmissibilityReport:
+    """`is_admissible` for a Newton polytope already built."""
+    interior = tuple(poly.interior_lattice_points())
+    origin = (0,) * poly.arity
     admissible = interior == (origin,)
     offending = tuple(pt for pt in interior if pt != origin)
     return AdmissibilityReport(admissible, interior, offending)

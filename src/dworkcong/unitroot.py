@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 from .apery import apery_numbers_mod
@@ -405,7 +405,8 @@ class ZetaReport:
     """Per-fiber record of the unit-root cross-check.
 
     The unit-root fields are populated only when the fiber is smooth and
-    ordinary; the Hasse fields only when it is smooth.
+    ordinary; the Hasse fields only when it is smooth.  Unpopulated fields
+    are None and are left out of `as_dict`.
     """
 
     p: int
@@ -423,24 +424,7 @@ class ZetaReport:
     agree: bool | None = None
 
     def as_dict(self) -> dict:
-        out = {"p": self.p, "t": self.t, "smooth": self.smooth,
-               "count": self.count}
-        if self.smooth:
-            out.update({
-                "a_p": self.a_p,
-                "ordinary": self.ordinary,
-                "hasse_lhs": self.hasse_lhs,
-                "hasse_rhs": self.hasse_rhs,
-                "hasse_agree": self.hasse_agree,
-            })
-        if self.smooth and self.ordinary:
-            out.update({
-                "s": self.s,
-                "unit_root": self.unit_root,
-                "omega": self.omega,
-                "agree": self.agree,
-            })
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def unit_root_compare(p: int, t: int, s: int, b=None) -> ZetaReport:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from dworkcong import polytope
 from dworkcong.cli import main
 
 APERY = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
@@ -12,6 +17,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_subprocess(*argv, timeout=5):
+    """The CLI in a fresh interpreter, killed (and the test failed) after `timeout` s."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "dworkcong.cli", *argv], env=env,
+                          capture_output=True, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # -- ct -----------------------------------------------------------------------
@@ -40,6 +55,13 @@ def test_ct_modular(capsys):
                        "--p", "5", "--K", "1")
     assert code == 0
     assert out == "1 3 4 2 1\n"
+
+
+def test_ct_negative_n_exit2(capsys):
+    code, out, err = run(capsys, "ct", "--poly", APERY, "--d", "2", "--N", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
 
 
 def test_ct_json_big_integers_as_strings(capsys):
@@ -85,6 +107,33 @@ def test_newton_constant_poly(capsys):
     assert "admissible: false" in out
 
 
+@pytest.mark.parametrize("poly,d,expected", [
+    (APERY, "2", "vertices: (-1, -1) (-1, 1) (0, 1) (1, -1) (1, 0)\n"
+                 "interior lattice points: (0, 0)\n"
+                 "admissible: true\n"),
+    ("x1+x2+x3+1/(x1*x2*x3)", "3",
+     "vertices: (-1, -1, -1) (0, 0, 1) (0, 1, 0) (1, 0, 0)\n"
+     "interior lattice points: (0, 0, 0)\n"
+     "admissible: true\n"),
+    ("(x1+x1^-1)^3", "1", "vertices: (-3,) (3,)\n"
+                          "interior lattice points: (-2,) (-1,) (0,) (1,) (2,)\n"
+                          "admissible: false\n"),
+], ids=["apery", "arity3", "cube"])
+def test_newton_builds_one_h_representation(capsys, monkeypatch, poly, d, expected):
+    builds = []
+    original = polytope._h_representation
+
+    def counting(points):
+        builds.append(points)
+        return original(points)
+
+    monkeypatch.setattr(polytope, "_h_representation", counting)
+    code, out, _ = run(capsys, "newton", "--poly", poly, "--d", d)
+    assert code == 0
+    assert out == expected
+    assert len(builds) == 1
+
+
 # -- check -------------------------------------------------------------------
 
 
@@ -123,6 +172,20 @@ def test_check_dig2_negative_range_exit2(capsys, flag):
     assert code == 2
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "--p", "3", "--nmax", "5"],
+    ["digit", "--p", "3", "--N", "5"],
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_ignores_unused_huge_s(argv, fmt):
+    # --s feeds only c1/c2/dig2 and the default N of c1/digit
+    base = ["check", *argv, "--format", fmt]
+    code, out, _ = run_subprocess(*base, "--s", "1")
+    assert code == 0
+    for s in ("100000000", "1000000000000"):
+        assert run_subprocess(*base, "--s", s) == (0, out, b"")
 
 
 def test_check_non_admissible_refused_exit2(capsys):
@@ -171,6 +234,14 @@ def test_unitroot_sweep_table(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 4
     assert lines[1].startswith("t=2  smooth=false")  # the nodal fiber
+
+
+def test_unitroot_s_below_one_exit2(capsys):
+    for mode in (("--t", "1"), ("--sweep",)):
+        code, out, err = run(capsys, "unitroot", "--p", "5", "--s", "0", *mode)
+        assert code == 2
+        assert out == ""
+        assert "s must be >= 1" in err
 
 
 def test_unitroot_rejects_t_zero(capsys):

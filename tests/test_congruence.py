@@ -257,8 +257,7 @@ def test_lemma_suite_detects_corruption():
     b[6] += 4
     report = run_lemma_suite(lam, 2, 15, b=b)
     assert not report.passed
-    assert report.witness["failure"] in ("agreement", "reconstruction")
-    assert report.witness["n"] <= 6 or report.witness["n"] > 6  # witness present
+    assert report.witness == {"n": 6, "failure": "agreement", "lhs": 12, "rhs": 0}
 
 
 def test_report_dict_schema():
@@ -271,3 +270,45 @@ def test_report_dict_schema():
 def test_digits_helper_consistency():
     # digit product uses digits_p; spot-check the digit convention
     assert digits_p(11, 2) == (1, 1, 0, 1)
+
+
+# -- golden failure reports --------------------------------------------------------
+# Full as_dict() of one failing report per check, on the corruption inputs above.
+
+
+def _corrupted(N, i, by):
+    b = apery_numbers(N)
+    b[i] += by
+    return b
+
+
+def test_golden_failure_reports():
+    lam = apery_polynomial()
+    cases = [
+        (check_c2(lam, 2, 2, b=_corrupted(7, 7, 1)),
+         {"check": "c2", "params": {"p": 2, "s": 2, "K": 2, "b_through": 7},
+          "admissible": True, "verdict": "fail",
+          "witness": {"exponent": 7, "lhs": 3, "rhs": 2}}),
+        (check_c1(lam, 3, 1, N=40, b=_corrupted(40, 5, 1)),
+         {"check": "c1", "params": {"p": 3, "s": 1, "K": 1, "N": 40},
+          "admissible": True, "verdict": "fail",
+          "witness": {"exponent": 5, "lhs": 1, "rhs": 0}}),
+        (check_digit_product(parse_poly("x1^2 + x1^-1", 1), 2, 10, force=True),
+         {"check": "digit", "params": {"p": 2, "N": 10},
+          "admissible": False, "verdict": "fail",
+          "witness": {"n": 3, "lhs": 1, "rhs": 0}}),
+        (check_dig2(lam, 2, 2, 10, 4, b=_corrupted(36, 6, 2)),
+         {"check": "dig2", "params": {"p": 2, "s": 2, "n_max": 10, "m_max": 4, "K": 2},
+          "admissible": True, "verdict": "fail",
+          "witness": {"n": 0, "m": 3, "lhs": 3, "rhs": 1}}),
+        (run_lemma_suite(lam, 2, 15, b=_corrupted(15, 6, 4)),
+         {"check": "lemma", "params": {"p": 2, "n_max": 15, "guard": 2, "K": 5},
+          "admissible": True, "verdict": "fail",
+          "witness": {"n": 6, "failure": "agreement", "lhs": 12, "rhs": 0}}),
+    ]
+    for report, expected in cases:
+        d = report.as_dict()
+        assert d == expected, report.check
+        assert list(d["params"]) == list(expected["params"]), report.check
+        assert list(d["witness"]) == list(expected["witness"]), report.check
+        assert report.wall_time >= 0

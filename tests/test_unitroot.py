@@ -374,13 +374,13 @@ def test_unit_root_compare_agreement():
 
 def test_unit_root_report_shapes():
     singular = unit_root_compare(5, 2, 2).as_dict()
-    assert set(singular) == {"p", "t", "smooth", "count"}
+    assert list(singular) == ["p", "t", "smooth", "count"]
     full = unit_root_compare(5, 1, 2).as_dict()
-    assert set(full) == {
+    assert list(full) == [
         "p", "t", "smooth", "count", "a_p", "ordinary",
         "hasse_lhs", "hasse_rhs", "hasse_agree",
         "s", "unit_root", "omega", "agree",
-    }
+    ]
 
 
 def test_unit_root_supersingular_reporting():
@@ -394,10 +394,10 @@ def test_unit_root_supersingular_reporting():
     assert r.smooth and not r.ordinary
     assert r.a_p == 0
     assert r.unit_root is None and r.agree is None
-    assert set(r.as_dict()) == {
+    assert list(r.as_dict()) == [
         "p", "t", "smooth", "count", "a_p", "ordinary",
         "hasse_lhs", "hasse_rhs", "hasse_agree",
-    }
+    ]
 
 
 def test_unit_root_input_validation():
