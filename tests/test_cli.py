@@ -188,6 +188,21 @@ def test_check_ignores_unused_huge_s(argv, fmt):
         assert run_subprocess(*base, "--s", s) == (0, out, b"")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "c2", "--p", "2", "--s", "30"],
+    ["check", "c1", "--p", "3", "--s", "2", "--N", "1000000000"],
+    ["check", "dig2", "--p", "2", "--s", "40", "--nmax", "1", "--mmax", "1"],
+    ["ct", "--N", "100000000", "--p", "3", "--K", "2"],
+    ["ct", "--N", "100000000"],  # exact: the dict walk
+])
+def test_walks_over_budget_exit2_at_once(argv):
+    # refused before the walk allocates anything (it used to end in a
+    # MemoryError traceback, or to run for 2**40 steps)
+    code, out, err = run_subprocess(*argv)
+    assert (code, out) == (2, b"")
+    assert b"budget" in err and b"Traceback" not in err
+
+
 def test_check_non_admissible_refused_exit2(capsys):
     code, out, err = run(capsys, "check", "c2", "--poly", "x1^2+x1^-1",
                          "--d", "1", "--p", "2")
