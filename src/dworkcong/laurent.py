@@ -21,12 +21,18 @@ exponents are their own coordinates.
 Constant-term sweeps and `PowerCache` walk the running power packed: a step
 is one shift-and-add per term of the base (one product with the packed base
 beyond SHIFT_ADD_TERMS terms), b_n is read from the origin's slot, slots are
-reduced only before they could overflow (8-bit ones by one `bytes.translate`)
-and a power is decoded only where a caller keeps it.  A walk estimated over
-WALK_BUDGET is refused with ValueError before it allocates anything.  The
-dict multiply handles the rest -- exact coefficients, slots beyond 64 bits,
-one-shot products with fewer term pairs than box slots -- and is the
-kernel's test oracle.
+reduced only before they could overflow and a power is decoded only where a
+caller keeps it.  A reduction is one `bytes.translate` for 8-bit slots and a
+Barrett reduction on the packed integer, two slots to a lane, for wider ones.
+The walks of `constant_term_sequence`, which decode nothing, are trimmed at
+each reduction: with K steps to come, CT(cur * base**j), j <= K, reads cur
+only on the hull of the origin and -K.(base support), so the rows of the
+first box coordinate outside that hull are masked off or shifted out.
+`PowerCache` walks keep the whole box, since they decode the powers they
+save.  A walk estimated over WALK_BUDGET is refused with ValueError before it
+allocates anything.  The dict multiply handles the rest -- exact
+coefficients, slots beyond 64 bits, one-shot products with fewer term pairs
+than box slots -- and is the kernel's test oracle.
 
 Also provided: truncated power series with coefficients mod p**K, supporting
 multiplication (the same kernel in one variable), substitution X -> X**p and
@@ -39,8 +45,8 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import chain, combinations, compress, count, islice
-from math import prod
-from operator import add, sub
+from math import ceil, log2, prod
+from operator import add, mul, neg, sub
 
 from .padic import _context_modulus
 
@@ -360,6 +366,30 @@ def _slots(x, tc):
     return slots
 
 
+def _reducer(m, bits, slots):
+    """The map taking a packed integer of at most `slots` slots of `bits`
+    bits each to the same slots reduced mod m, for m <= 2**bits.  8-bit slots
+    pass through a byte table of v % m.  Wider slots reduce lane-parallel:
+    even and odd slots in turn are read as 2*bits-wide lanes, Barrett's
+    quotient q = v*r >> bits, r = 2**bits // m, leaves v - m*q in [0, 2m),
+    and bit `bits` of t + 2**bits - m flags the lanes that take one more m."""
+    if bits == 8:
+        table = (bytes(range(m)) * -(-256 // m))[:256]
+        return lambda x: int.from_bytes(
+            x.to_bytes(-(-x.bit_length() // 8), _ORDER).translate(table), _ORDER)
+    ones = int.from_bytes((1).to_bytes(bits // 4, _ORDER) * ((slots + 1) // 2), _ORDER)
+    lane, over, r = ones * ((1 << bits) - 1), ones * ((1 << bits) - m), (1 << bits) // m
+
+    def reduce(x):
+        out = 0
+        for v in (x >> bits & lane, x & lane):  # odd slots, then even ones
+            t = v - m * (v * r >> bits & lane)
+            out = out << bits | t - m * (t + over >> bits & lane)
+        return out
+
+    return reduce
+
+
 def _pack(index, values, tc):
     """Residues in the given slots of one integer."""
     slots = array(tc, [0]) * (max(index) + 1)
@@ -495,10 +525,11 @@ def _frame(poly, lat):
 
 
 SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
-# Slot-steps, times len(base) for a dict walk.  On a 2-core x86-64 host: 24 ns
-# each for a 16-bit Apery walk (24 s at the bound), 2 ns for an 8-bit
-# sublattice walk, and 120 to 200 ns a term pair for exact Apery walks to
-# N = 60 and 150, growing with the coefficients.
+# Slot-steps; a dict walk counts len(base) term pairs per slot-step, and an
+# exact one each pair again per 64-bit word of its largest coefficient.  On a
+# 2-core x86-64 host: 24 ns each for a 16-bit Apery walk (24 s at the bound),
+# 2 ns for an 8-bit sublattice walk, and 120 to 200 ns a term pair for exact
+# Apery walks to N = 60 and 150 (1 and 3 words).
 WALK_BUDGET = 10**9
 
 
@@ -514,9 +545,13 @@ class _PackedWalk:
     The slot at box coordinates u holds the exponent shift + u.B, B the
     lattice basis, in a box fixed for the walk.  Slots are reduced mod m only
     when the largest slot value `top`, times base's weight, could overflow.
+    A trimmed walk (`left`, the steps still to come, is not None) serves
+    constant terms only: at each reduction it also drops the rows of its
+    first box coordinate that no later constant term reads.
     """
 
-    def __init__(self, cur, base, lat, frame, base_frame, widths, slot, weight):
+    def __init__(self, cur, base, lat, frame, base_frame, widths, slot, weight,
+                 steps, trim):
         self.m = base.modulus
         self.ring = base  # makes the decoded polynomials
         self.lat = lat
@@ -531,6 +566,8 @@ class _PackedWalk:
         self.terms = [(i * self.bits, c) for i, c in zip(index, values)]
         self.base = (_pack(index, values, self.tc) if len(base) > SHIFT_ADD_TERMS
                      else None)
+        self.left = steps if trim else None
+        self.reduce = self.rows = None  # built at the first reduction and trim
 
     def _index(self, columns, lo):
         """The slots of the coordinates u given as columns, lo in slot 0."""
@@ -541,14 +578,12 @@ class _PackedWalk:
 
     def step(self):
         if self.top * self.weight >> self.bits:
-            x, m = self.x, self.m
-            if self.bits == 8:  # one pass through the byte table of v % m
-                table = (bytes(range(m)) * -(-256 // m))[:256]
-                x = x.to_bytes(-(-x.bit_length() // 8), _ORDER).translate(table)
-            else:
-                x = array(self.tc, [v % m for v in _slots(x, self.tc)])
-            self.x = int.from_bytes(x, _ORDER)
-            self.top = m - 1
+            if self.reduce is None:
+                self.reduce = _reducer(self.m, self.bits, prod(self.widths))
+            self.x = self.reduce(self.x)
+            self.top = self.m - 1
+            if self.left is not None:
+                self._trim()
         x = self.x
         if self.base is not None:
             self.x = x * self.base
@@ -556,6 +591,33 @@ class _PackedWalk:
             self.x = sum((x * c if c > 1 else x) << shift for shift, c in self.terms)
         self.top *= self.weight
         self.shift = list(map(add, self.shift, self.base_shift))
+        if self.left is not None:
+            self.left -= 1
+
+    def _trim(self):
+        """Keep only the rows lo..hi of the first box coordinate that meet the
+        hull of the origin and -K.(base support), K = left: every exponent of
+        the running power that a later constant term reads lies in it."""
+        if self.rows is None:  # the row of e is (e - shift).col / det
+            if self.lat:
+                basis, X, det = self.lat
+                col, first = [row[0] for row in X], basis[0]
+                if det < 0:
+                    col, det = [-c for c in col], -det
+            else:
+                col = first = [int(i == 0) for i in range(len(self.shift))]
+                det = 1
+            dots = [sum(map(mul, e, col)) for e in self.ring._coeffs]
+            self.rows = col, det, min(dots), max(dots), first
+        col, det, low, high, first = self.rows
+        at, K = sum(map(mul, self.shift, col)), self.left
+        lo = -((at - min(0, -K * high)) // det)  # ceiling
+        hi = (max(0, -K * low) - at) // det
+        row = self.strides[0] * self.bits
+        self.x &= (1 << max(hi + 1, 0) * row) - 1
+        if lo > 0:
+            self.x >>= lo * row
+            self.shift = [s + lo * f for s, f in zip(self.shift, first)]
 
     def constant_term(self):
         u = [[-s] for s in self.shift]
@@ -581,11 +643,11 @@ class _PackedWalk:
         return self.ring._make(dict(zip(zip(*exps), filter(None, residues))))
 
 
-def _packed_walk(cur, base, steps):
-    """A packed walk from cur by `steps` multiplications by base, or None
-    for the dict multiply: exact coefficients, an empty factor, a slot bound
-    beyond 64 bits, or a one-shot product (steps == 1) with fewer term pairs
-    than slots in its box."""
+def _packed_walk(cur, base, steps, trim=False):
+    """A packed walk from cur by `steps` multiplications by base, trimmed to
+    its constant terms when `trim`, or None for the dict multiply: exact
+    coefficients, an empty factor, a slot bound beyond 64 bits, or a one-shot
+    product (steps == 1) with fewer term pairs than slots in its box."""
     m = base.modulus
     if m is None or not cur or not base:
         return None
@@ -603,7 +665,8 @@ def _packed_walk(cur, base, steps):
         return None
     widths = [s + steps * b + 1 for s, b in spans]
     _check_work(steps * prod(widths))
-    return _PackedWalk(cur, base, lat, frame, base_frame, widths, slot, weight)
+    return _PackedWalk(cur, base, lat, frame, base_frame, widths, slot, weight,
+                       steps, trim)
 
 
 class _DictWalk:
@@ -623,13 +686,18 @@ class _DictWalk:
         return self.cur
 
 
-def _walk(cur, base, steps):
-    """The walk from cur by `steps` multiplications by base, packed when
-    the kernel applies; refused (`_check_work`) before it allocates."""
-    walk = _packed_walk(cur, base, steps)
+def _walk(cur, base, steps, trim=False):
+    """The walk from cur by `steps` multiplications by base, packed (and
+    trimmed to its constant terms when `trim`) when the kernel applies;
+    refused (`_check_work`) before it allocates."""
+    walk = _packed_walk(cur, base, steps, trim)
     if walk is None and cur and base:
         spans = ([max(c) - min(c) for c in zip(*f._coeffs)] for f in (cur, base))
-        _check_work(steps * len(base) * prod(s + steps * b + 1 for s, b in zip(*spans)))
+        work = steps * len(base) * prod(s + steps * b + 1 for s, b in zip(*spans))
+        if base.modulus is None:  # words of the bound sum|cur| * sum|base|**steps
+            cur_sum, base_sum = (sum(map(abs, f._coeffs.values())) for f in (cur, base))
+            work *= max(1, ceil((log2(cur_sum) + steps * log2(base_sum)) / 64))
+        _check_work(work)
     return walk or _DictWalk(cur, base)
 
 
@@ -640,7 +708,8 @@ def constant_term_sequence(lam: LaurentPoly, N: int, p=None, K=None) -> list:
     Uses iterated multiplication (not binary powering): every intermediate
     power is needed anyway, and multiplying the running power by the fixed
     small factor is cheaper than repeated squaring of large supports.  Mod
-    p**K the running power stays packed and only its origin slot is read.
+    p**K the running power stays packed, only its origin slot is read, and
+    the rows no later constant term reads are dropped at each reduction.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a non-negative integer")
@@ -649,7 +718,7 @@ def constant_term_sequence(lam: LaurentPoly, N: int, p=None, K=None) -> list:
     if N == 0:
         return [1]
     out = [1, lam.constant_term()]
-    walk = _walk(lam, lam, N - 1)
+    walk = _walk(lam, lam, N - 1, trim=True)
     for _ in range(N - 1):
         walk.step()
         out.append(walk.constant_term())
@@ -660,8 +729,9 @@ def constant_term_of_product(factors) -> int:
     """Constant term of the product of several polynomials.
 
     Expands all factors but the largest, then takes the dot product
-    sum_e A(e) * B(-e) against the largest factor.  This avoids
-    materializing the full product when only its constant term is wanted.
+    sum_e A(e) * B(-e) against the largest factor, iterating the shorter
+    side.  This avoids materializing the full product when only its constant
+    term is wanted; a vanishing partial product returns 0 at once.
     """
     factors = list(factors)
     if not factors:
@@ -676,12 +746,13 @@ def constant_term_of_product(factors) -> int:
         return big.constant_term()
     acc = small[0]
     for f in small[1:]:
+        if not acc:  # ghost factors often vanish mod p**K
+            return 0
         acc = acc * f
-    bigc = big._coeffs
+    a, b = sorted((acc._coeffs, big._coeffs), key=len)  # iterate the shorter
     total = 0
-    for e, c in acc._coeffs.items():
-        ne = tuple(-x for x in e)
-        v = bigc.get(ne)
+    for e, c in a.items():
+        v = b.get(tuple(map(neg, e)))
         if v:
             total += c * v
     if big.modulus is not None:

@@ -194,6 +194,7 @@ def test_check_ignores_unused_huge_s(argv, fmt):
     ["check", "dig2", "--p", "2", "--s", "40", "--nmax", "1", "--mmax", "1"],
     ["ct", "--N", "100000000", "--p", "3", "--K", "2"],
     ["ct", "--N", "100000000"],  # exact: the dict walk
+    ["ct", "--N", "300"],  # exact, priced by its coefficients' 64-bit words
 ])
 def test_walks_over_budget_exit2_at_once(argv):
     # refused before the walk allocates anything (it used to end in a

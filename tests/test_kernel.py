@@ -10,6 +10,7 @@ slowdown rather than a wrong answer.
 
 import random
 import sys
+from array import array
 from math import comb, factorial, prod
 
 import pytest
@@ -21,8 +22,12 @@ from dworkcong.laurent import (
     TruncSeries,
     _lattice,
     _mul_mod_lists,
+    _PackedWalk,
     _packed_walk,
+    _reducer,
     _slot,
+    _slots,
+    constant_term_of_product,
     constant_term_sequence,
 )
 from dworkcong.polyparse import parse_poly
@@ -375,3 +380,134 @@ def test_origin_outside_the_box():
     lam = parse_poly("x1*x2+x2+x1^-1*x2", 2, p=3, K=2)
     assert _packed_walk(lam, lam, 9) is not None
     assert constant_term_sequence(lam, 10) == [1] + [0] * 10
+
+
+# -- lane-parallel reduction and trimmed sweeps --------------------------------
+
+
+@pytest.mark.parametrize("bits", [16, 32, 64])
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 101])
+def test_lane_reduction_gives_exact_residues(bits, count):
+    tc = _slot(2**bits - 1)[1]
+    top = 2**bits - 1
+    rng = random.Random(bits * 1000 + count)
+    moduli = [2, 2**(bits // 2), 3**5, 5**3, 7**(bits // 6),  # p**K, m = 2, m = 2**K
+              3**(bits * 5 // 8), 2**bits]  # near and at the widest m (weight 1)
+    for m in moduli:
+        assert m <= 2**bits
+        reduce = _reducer(m, bits, count)
+        for values in ([top] * count,  # every slot at 2**bits - 1
+                       [rng.randrange(2**bits) for _ in range(count)],
+                       [min(v, top) for v in (m - 1, m, 2 * m - 1, 0)][:count]
+                       + [top] * (count - 4)):
+            x = int.from_bytes(array(tc, values), sys.byteorder)
+            got = list(_slots(reduce(x), tc))
+            assert got + [0] * (count - len(got)) == [v % m for v in values], m
+
+
+def sweep_trims(monkeypatch):
+    """Count the trims of every packed walk from here on."""
+    trims = []
+    trim = _PackedWalk._trim
+
+    def counted(walk):
+        trims.append(walk.left)
+        trim(walk)
+
+    monkeypatch.setattr(_PackedWalk, "_trim", counted)
+    return trims
+
+
+TRIMMED = [(src, d) for src, d, _ in LATTICES] + [
+    ("x1*x2+x2+x1^-1*x2", 2),  # the origin outside the box
+    ("1+x1+x2", 2),  # the origin at a vertex of the Newton polytope
+    ("x1^-1+x1^-1*x2^2+x1", 2),
+    ("x2+x1+x1^-1*x2^-1", 2),  # a lattice basis of negative determinant
+    ("5", 1),  # a one-term base at the origin
+]
+
+
+@pytest.mark.parametrize("src,d", TRIMMED)
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2)])
+def test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K):
+    trims = sweep_trims(monkeypatch)
+    lam = parse_poly(src, d, p=p, K=K)
+    N = 30
+    want = [q.constant_term() for q in dict_powers(lam, N)]
+    assert constant_term_sequence(lam, N) == want
+    assert trims
+
+
+def test_trims_move_the_box_with_a_negative_determinant(monkeypatch):
+    trims = sweep_trims(monkeypatch)
+    lam = parse_poly("x2+x1+x1^-1*x2^-1", 2, p=3, K=3)
+    assert _lattice(lam)[2] < 0
+    assert constant_term_sequence(lam, 60) == [
+        factorial(n) // factorial(n // 3) ** 3 % 27 if n % 3 == 0 else 0
+        for n in range(61)]
+    assert len(trims) >= 10
+
+
+def test_trimmed_simplex_sweep_matches_multinomials(monkeypatch):
+    trims = sweep_trims(monkeypatch)
+    lam = parse_poly(SIMPLEX3, 3, p=2, K=4)
+    got = constant_term_sequence(lam, 63)
+    assert got == [factorial(n) // factorial(n // 4) ** 4 % 16 if n % 4 == 0 else 0
+                   for n in range(64)]
+    assert len(trims) >= 20
+
+
+def test_trim_keeps_rows_between_the_origin_and_the_scaled_support():
+    # -j.(base support) for j < K lies outside the hull of -K.(base support):
+    # only the origin's row keeps the exponents the middle steps read
+    base = LaurentPoly(1, {(1,): 1, (2,): 1}, p=3, K=2)
+    cur = LaurentPoly(1, {(-20,): 1, (-12,): 2}, p=3, K=2)
+    walk, steps = _packed_walk(cur, base, 20, trim=True), [cur]
+    for _ in range(20):
+        steps.append(steps[-1]._mul_dict(base))
+        walk.step()
+        assert walk.constant_term() == steps[-1].constant_term()
+    assert any(q.constant_term() for q in steps)
+    assert walk.left == 0 and walk.rows is not None
+
+
+def test_power_cache_walks_are_not_trimmed(monkeypatch):
+    trims = sweep_trims(monkeypatch)
+    lam = parse_poly(SIMPLEX3, 3, p=2, K=4)
+    powers = dict_powers(lam, 40)
+    cache = PowerCache(lam)
+    cache.mark([17, 30, 39])
+    assert cache.constant_terms(40) == [q.constant_term() for q in powers]
+    for n in (17, 30, 39):  # decoded late in a sweep that reduced many times
+        assert cache._saved[n] == powers[n]
+    assert cache.power(40) == powers[40]
+    assert not trims and cache._ct_walk.left is None
+
+
+def full_constant_term(factors):
+    product = factors[0]
+    for f in factors[1:]:
+        product = product._mul_dict(f)
+    return product.constant_term()
+
+
+@pytest.mark.parametrize("ring", [(None, None), (2, 3), (3, 2)])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_constant_term_of_product(ring, arity):
+    p, K = ring
+    rng = random.Random(arity * 10 + (p or 0))
+
+    def rand(radius, count):
+        exps = [tuple(rng.randint(-radius, radius) for _ in range(arity))
+                for _ in range(count)]
+        return LaurentPoly(arity, {e: rng.randint(-9, 9) or 1 for e in exps}, p=p, K=K)
+
+    for sizes in ([3, 4, 40],  # the small product (12 terms or so) is shorter
+                  [9, 9, 12],  # it is longer than the largest factor
+                  [5, 30], [2, 3, 4, 6], [7]):
+        factors = [rand(3, n) for n in sizes]
+        rng.shuffle(factors)
+        assert constant_term_of_product(factors) == full_constant_term(factors)
+    zero = LaurentPoly.zero(arity, p=p, K=K)
+    assert constant_term_of_product([rand(2, 5), zero, rand(2, 30)]) == 0
+    assert constant_term_of_product([rand(2, 5), rand(2, 6), zero]) == 0

@@ -283,6 +283,7 @@ def test_pentagon_matches_lp_oracle():
     assert_matches_oracle(2, PENTAGON)
 
 
+@pytest.mark.oracle
 def test_small_planar_supports_match_lp_oracle():
     grid = list(product((-1, 0, 1), repeat=2))
     for k in range(1, 5):
@@ -290,6 +291,7 @@ def test_small_planar_supports_match_lp_oracle():
             assert_matches_oracle(2, pts)
 
 
+@pytest.mark.oracle
 def test_random_spatial_supports_match_lp_oracle():
     rng = random.Random(20261018)
     for _ in range(10):

@@ -223,6 +223,7 @@ def test_smoothness_examples():
         assert is_smooth_cubic(apery_fiber(5, t))
 
 
+@pytest.mark.oracle
 def test_smoothness_chart_search_matches_naive():
     rng = random.Random(4096)
     for p in (5, 7):
@@ -241,6 +242,7 @@ def test_smoothness_chart_search_matches_naive():
                         == _has_singular_point_naive(c, k)), (p, t, k)
 
 
+@pytest.mark.oracle
 def test_smoothness_matches_oracle_on_all_f2_cubics():
     # 28 of them have their first singular point over F_4 and 8 over F_8
     smooth = 0
@@ -280,6 +282,7 @@ def test_smoothness_matches_oracle_on_line_conic_products():
         assert sum(not search(c, 1) for c in cubics) >= 2, p
 
 
+@pytest.mark.oracle
 def test_smoothness_matches_oracle_on_apery_fibers():
     for p in (2, 3, 5, 7):
         for t in range(1, p):
