@@ -39,8 +39,7 @@ from .ghost import (
     length_p,
     reconstruct_b,
 )
-from .laurent import (LaurentPoly, TruncSeries, _mul_mod_lists,
-                      constant_term_sequence)
+from .laurent import LaurentPoly, TruncSeries, constant_term_sequence
 from .padic import _context_modulus
 from .polytope import is_admissible
 
@@ -82,14 +81,6 @@ def f_trunc(b, p: int, s: int, K: int) -> TruncSeries:
     if len(b) < need:
         raise ValueError(f"need b through index {need - 1}, got {len(b)} values")
     return TruncSeries(p, K, need - 1, list(b[:need]))
-
-
-def _expand_xp(a, p):
-    """Coefficient list of g(X**p) given that of g(X)."""
-    out = [0] * ((len(a) - 1) * p + 1)
-    for i, ai in enumerate(a):
-        out[i * p] = ai
-    return out
 
 
 def _precision(s, K):
@@ -148,19 +139,24 @@ def _report(check, params, admissible, witness, t0):
 def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     """Verify f_{s+1}(X) f_{s-1}(X**p) == f_s(X) f_s(X**p) mod p**s.
 
-    Both products are formed in full and compared coefficient by
-    coefficient; needs b through p**(s+1) - 1.
+    Both products are formed in full, as series cut off at their common
+    degree p**(s+1) + p**s - p - 1, and compared coefficient by coefficient;
+    needs b through p**(s+1) - 1.
     """
     K = _precision(s, K)
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
     need = p ** (s + 1)
     bs = _prepare(lam, p, K, b, need)
-    modulus = p**K
-    lhs = _mul_mod_lists(bs, _expand_xp(bs[: p ** (s - 1)], p), modulus)
-    rhs = _mul_mod_lists(bs[: p**s], _expand_xp(bs[: p**s], p), modulus)
+    N = need + p**s - p - 1
+
+    def f(k):
+        return TruncSeries(p, K, N, bs[: p**k])
+
+    lhs = f(s + 1) * f(s - 1).compose_xp()
+    rhs = f(s) * f(s).compose_xp()
     return _report("c2", {"p": p, "s": s, "K": K, "b_through": need - 1},
-                   admissible, _first_mismatch(lhs, rhs, p**s), t0)
+                   admissible, _first_mismatch(lhs.coeffs, rhs.coeffs, p**s), t0)
 
 
 def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=False):

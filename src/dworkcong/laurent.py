@@ -10,13 +10,15 @@ terms spread over a scaled Newton polytope.  Mod m = p**K, though, products
 go through one Kronecker kernel (D. Harvey, arXiv:0712.4046): a box of
 exponent coordinates maps to one index, and each factor becomes one integer
 holding its residues in slots of the narrowest width (8 to 64 bits) that
-holds (m-1) times the sum of the second (shorter) factor's residues.  The
-coordinates are those of the lattice L spanned by that factor's support
-differences (H. Cohen, A Course in Computational Algebraic Number Theory,
-2.4), in a basis of r of them when some r span L -- the n-th power of
-x1+x2+x3+1/(x1*x2*x3), index 4, then fills an (n+1)**3 box -- else in L's
-echelon basis; over Z^d, or when the first factor is not on one coset of L,
-exponents are their own coordinates.
+holds (m-1) times the sum of the second (shorter) factor's residues.  A
+one-shot product packs in Z^d, exponents being their own coordinates.  A walk
+-- repeated products by one factor, the base -- packs in the coordinates of
+the lattice L spanned by the base's support differences (H. Cohen, A Course
+in Computational Algebraic Number Theory, 2.4), in a basis of r of them when
+some r span L -- the n-th power of x1+x2+x3+1/(x1*x2*x3), index 4, then
+fills an (n+1)**3 box -- else in L's echelon basis, inverted by the integer
+elimination of `polytope`.  Every walk starts from a power of its base, so
+its running power lies on one coset of L.
 
 Constant-term sweeps and `PowerCache` walk the running power packed: a step
 is one shift-and-add per term of the base (one product with the packed base
@@ -49,6 +51,7 @@ from math import ceil, log2, prod
 from operator import add, mul, neg, sub
 
 from .padic import _context_modulus
+from .polytope import _eliminate
 
 
 def _check_ring(p, K):
@@ -440,26 +443,11 @@ def _echelon(vectors, d):
     return [rows[c] for c in sorted(rows)]
 
 
-def _inverse(M):
-    """(X, det) with M X == det I for a square integer matrix M, by
-    fraction-free Gauss-Jordan elimination; det is 0 when M is singular."""
-    r, det = len(M), 1
-    A = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(M)]
-    for k in range(r):
-        p = next((i for i in range(k, r) if A[i][k]), None)
-        if p is None:
-            return None, 0
-        A[k], A[p] = A[p], A[k]
-        A = [row if i == k else [(A[k][k] * a - row[k] * b) // det
-                                 for a, b in zip(row, A[k])] for i, row in enumerate(A)]
-        det = A[k][k]
-    return [row[r:] for row in A], det
-
-
 def _lattice(poly):
     """(basis, X, det), basis X == det I, of the lattice L that poly's support
     differences span plus unit vectors off its pivots, () for Z^d; cached.
-    The basis holds r differences when some r span L, else L's echelon basis."""
+    The basis holds r differences when some r span L, else L's echelon basis;
+    X and det come from one elimination of [basis | I]."""
     if poly._lattice is None:
         d, ref = poly.arity, min(poly._coeffs)
         diffs = [list(map(sub, e, ref)) for e in poly._coeffs if e != ref]
@@ -472,10 +460,11 @@ def _lattice(poly):
             for basis in chain(islice(combinations(diffs, len(pivots)), BASIS_TRIES),
                                [echelon]):
                 basis = list(basis) + units
-                X, det = _inverse(basis)
-                if abs(det) == volume:
+                R, cols, det = _eliminate([row + [int(i == j) for j in range(d)]
+                                           for i, row in enumerate(basis)])
+                if cols[-1] == d - 1 and abs(det) == volume:  # basis invertible
                     break
-            lat = (basis, X, det)
+            lat = (basis, [row[d:] for row in R], det)
         object.__setattr__(poly, "_lattice", lat)
     return poly._lattice
 
@@ -511,14 +500,12 @@ def _points(lat, shift, columns):
 
 def _frame(poly, lat):
     """(shift, columns, lo, spans): poly's exponents as shift + (u - lo).B, B
-    lat's basis, with the u given as columns and lo <= u <= lo + spans; None
-    when poly is off one coset of lat."""
+    lat's basis, with the u given as columns and lo <= u <= lo + spans; poly
+    lies on one coset of lat."""
     u, ref = list(zip(*poly._coeffs)), [0] * poly.arity
     if lat:
         ref = next(iter(poly._coeffs))
         u = _coords(lat, [[x - r for x in col] for col, r in zip(u, ref)])
-        if u is None:
-            return None
     lo = list(map(min, u))
     shift = [c[0] for c in _points(lat, ref, [[l] for l in lo])] if lat else lo
     return shift, u, lo, [max(col) - l for col, l in zip(u, lo)]
@@ -647,7 +634,8 @@ def _packed_walk(cur, base, steps, trim=False):
     """A packed walk from cur by `steps` multiplications by base, trimmed to
     its constant terms when `trim`, or None for the dict multiply: exact
     coefficients, an empty factor, a slot bound beyond 64 bits, or a one-shot
-    product (steps == 1) with fewer term pairs than slots in its box."""
+    product (steps == 1) with fewer term pairs than slots in its box.  Only
+    a longer walk, whose cur is a power of base, packs in base's lattice."""
     m = base.modulus
     if m is None or not cur or not base:
         return None
@@ -655,10 +643,8 @@ def _packed_walk(cur, base, steps, trim=False):
     slot = _slot((m - 1) * weight)
     if slot is None:
         return None
-    lat = _lattice(base)
-    frame = lat and _frame(cur, lat)
-    if not frame:
-        lat, frame = (), _frame(cur, ())
+    lat = _lattice(base) if steps > 1 else ()
+    frame = _frame(cur, lat)
     base_frame = _frame(base, lat)
     spans = list(zip(frame[3], base_frame[3]))
     if steps == 1 and len(cur) * len(base) < prod(s + b + 1 for s, b in spans):

@@ -8,10 +8,15 @@ H-representation of the hull of its generating points:
 * the primitive facet normals `a.x <= b`.  The hull has some dimension
   r <= d, and projecting onto r pivot coordinates of the difference
   vectors is injective on its affine hull.  Every facet there is spanned by
-  r generating points, so each r-subset gives the cofactor normal of its
-  difference vectors; divided by its gcd, it is kept (oriented outwards)
-  when every generating point lies on one side.  Lifted back with zeros
-  in the other coordinates it is valid on the affine hull.
+  r generating points, so the one kernel vector of an r-subset's r - 1
+  difference vectors, when they have rank r - 1, is a candidate normal; it
+  is kept (oriented outwards) when every generating point lies on one side.
+  Lifted back with zeros in the other coordinates it is valid on the
+  affine hull.
+
+All this linear algebra over Q, and `laurent`'s inverse of a lattice basis,
+is one fraction-free Gauss-Jordan elimination in the integers, `_eliminate`
+(E. H. Bareiss, Math. Comp. 22, 1968); `Fraction` only reads query points.
 
 Membership then needs only dot products, exact for integer and `Fraction`
 queries: closed membership is every equation and every facet inequality;
@@ -19,9 +24,12 @@ strict interior membership is `r == d` together with `a.q < b` for every
 facet, because a hull of lower dimension has no interior and a
 full-dimensional one is the intersection of its facet half-spaces.  A
 generating point is a vertex when the facets tight at it have normals of
-rank r.  The build costs about C(m, r) * m dot products for m generating
-points, which is immediate for the supports of tens of points this tool
-targets.
+rank r.
+
+The build costs about C(m, r) * m dot products for m generating points, and
+the interior scan about (bounding-box points) * (facets).  Each estimate is
+checked against GEOMETRY_BUDGET before the work starts, and a larger one is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -29,10 +37,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, prod
 from operator import mul
 
-from .laurent import LaurentPoly
+# Dot products of integer vectors of length <= d; on a 2-core x86-64 host a
+# hull build spends about 0.8 us on each and an interior scan 1 to 1.5 us,
+# so the bound is reached in 8 to 15 s.  The 84-point support of
+# (1+x1+x2+x3)^6/(x1*x2*x3) needs 8.0e6 for its hull (6 s).
+GEOMETRY_BUDGET = 10**7
+
+
+def _check_geometry(work, what):
+    """Refuse geometry estimated at more than GEOMETRY_BUDGET dot products."""
+    if work > GEOMETRY_BUDGET:
+        raise ValueError(f"{what} needs about {work} dot products; "
+                         f"budget {GEOMETRY_BUDGET}")
 
 
 def _dot(a, q):
@@ -44,52 +63,47 @@ def _primitive(v):
     return tuple(x // g for x in v)
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form over Q: (its nonzero rows, their pivot columns)."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if k is None:
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (R, pivots, det): R the nonzero rows of det times the reduced
+    row echelon form of `rows`, `pivots` their pivot columns and det the
+    last pivot -- up to sign, the minor of `rows` on the pivot rows and
+    columns (1 at rank 0).  Each step divides by the pivot before it, and
+    every such division is exact.
+    """
+    A = [list(row) for row in rows]
+    pivots, det = [], 1
+    for col in range(len(A[0]) if A else 0):
+        k = len(pivots)
+        i = next((i for i in range(k, len(A)) if A[i][col]), None)
+        if i is None:
             continue
-        rows[r], rows[k] = rows[k], rows[r]
-        piv = rows[r][col]
-        prow = rows[r] = [v / piv for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = row[col]
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        A[k], A[i] = A[i], A[k]
+        prow = A[k]
+        piv = prow[col]
+        A = [row if j == k else [(piv * a - row[col] * b) // det
+                                 for a, b in zip(row, prow)]
+             for j, row in enumerate(A)]
+        det = piv
         pivots.append(col)
-    return rows[: len(pivots)], pivots
+    return A[: len(pivots)], pivots, det
 
 
-def _kernel(rows, pivots, ncols):
-    """Primitive integer basis of the null space of a matrix in RREF."""
+def _kernel(rows, ncols):
+    """Primitive integer basis of the null space of an integer matrix with
+    ncols columns: one vector per non-pivot column, positive there."""
+    R, pivots, det = _eliminate(rows)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for row, col in zip(rows, pivots):
+        v = [0] * ncols
+        v[free] = det
+        for row, col in zip(R, pivots):
             v[col] = -row[free]
-        den = lcm(*(x.denominator for x in v))
-        basis.append(_primitive([int(x * den) for x in v]))
+        basis.append(_primitive([det * x for x in v]))  # positive at free
     return basis
-
-
-def _det(m):
-    """Determinant of a small square integer matrix (Laplace expansion)."""
-    if not m:
-        return 1
-    return _dot(m[0], _cofactor_normal(m[1:], len(m)))
-
-
-def _cofactor_normal(rows, r):
-    """Normal in Z^r to r - 1 vectors: their signed maximal minors."""
-    return [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows])
-            for j in range(r)]
 
 
 def _h_representation(points):
@@ -100,19 +114,20 @@ def _h_representation(points):
     """
     d = len(points[0])
     base = points[0]
-    rows, pivots = _rref([[x - y for x, y in zip(pt, base)] for pt in points[1:]], d)
-    equations = tuple((e, _dot(e, base)) for e in _kernel(rows, pivots, d))
+    diffs = [[x - y for x, y in zip(pt, base)] for pt in points[1:]]
+    pivots = _eliminate(diffs)[1]
+    equations = tuple((e, _dot(e, base)) for e in _kernel(diffs, d))
     r = len(pivots)
+    _check_geometry(comb(len(points), r) * len(points), "the hull")
     proj = [tuple(pt[c] for c in pivots) for pt in points]
     facets = set()
     if r:
         for subset in combinations(proj, r):
             q0 = subset[0]
-            normal = _cofactor_normal(
-                [tuple(x - y for x, y in zip(q, q0)) for q in subset[1:]], r)
-            if not any(normal):
+            normal = _kernel([[x - y for x, y in zip(q, q0)] for q in subset[1:]], r)
+            if len(normal) != 1:  # the subset spans less than a hyperplane
                 continue
-            normal = _primitive(normal)
+            normal = normal[0]
             b = _dot(normal, q0)
             values = [_dot(normal, q) for q in proj]
             if max(values) == b:
@@ -182,8 +197,7 @@ class LatticePolytope:
             rank, _, facets = self._inequalities()
             self._vertices = [
                 v for v in self.points
-                if len(_rref([a for a, b in facets if _dot(a, v) == b],
-                             self.arity)[1]) == rank
+                if len(_eliminate([a for a, b in facets if _dot(a, v) == b])[1]) == rank
             ]
         return list(self._vertices)
 
@@ -191,10 +205,16 @@ class LatticePolytope:
         """Integer points strictly inside the hull, lex-sorted.
 
         Scans the bounding box of the generating points; interior points
-        cannot lie outside it, so the scan is exhaustive.
+        cannot lie outside it, so the scan is exhaustive.  A hull of lower
+        dimension has no interior and is not scanned.
         """
+        rank, _, facets = self._inequalities()
+        if rank < self.arity:
+            return []
         lows = [min(pt[t] for pt in self.points) for t in range(self.arity)]
         highs = [max(pt[t] for pt in self.points) for t in range(self.arity)]
+        _check_geometry(prod(hi - lo + 1 for lo, hi in zip(lows, highs)) * len(facets),
+                        "the interior scan")
         found = []
         for cand in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
             if self.contains(cand, strict=True):
@@ -205,8 +225,8 @@ class LatticePolytope:
         return f"LatticePolytope(arity={self.arity}, points={list(self.points)})"
 
 
-def newton_polytope(lam: LaurentPoly) -> LatticePolytope:
-    """Convex hull of the exponent vectors of lam's monomials."""
+def newton_polytope(lam) -> LatticePolytope:
+    """Convex hull of the exponent vectors of the `LaurentPoly` lam's monomials."""
     if not lam:
         raise ValueError("the zero polynomial has no Newton polytope")
     return LatticePolytope(lam.arity, lam.support())
@@ -228,7 +248,7 @@ class AdmissibilityReport:
         }
 
 
-def is_admissible(lam: LaurentPoly) -> AdmissibilityReport:
+def is_admissible(lam) -> AdmissibilityReport:
     """Whether the origin is the unique interior integral point of Newt(lam).
 
     Polynomials failing this test still make sense as inputs to the

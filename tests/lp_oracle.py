@@ -14,9 +14,14 @@ answers from its facet inequalities, by an independent route:
   because a convex body contains a ball around q iff it contains such a
   cross-polytope; dimension-deficient hulls give optimum 0 (no interior);
 * a generating point is a vertex when it is not in the hull of the others.
+
+`rref` and `rref_kernel` are the `Fraction` row reduction and null space
+that `dworkcong.polytope._eliminate` and `_kernel` replaced with integer
+elimination; they are kept here as its oracle.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -159,3 +164,40 @@ def lp_vertices(points):
     pts = sorted(set(map(tuple, points)))
     return [v for v in pts
             if len(pts) == 1 or not lp_contains([p for p in pts if p != v], v)]
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form over Q: (its nonzero rows, their pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        piv = rows[r][col]
+        prow = rows[r] = [v / piv for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def rref_kernel(rows, pivots, ncols):
+    """Primitive integer basis of the null space of a matrix in RREF."""
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            v[col] = -row[free]
+        den = lcm(*(x.denominator for x in v))
+        v = [int(x * den) for x in v]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return basis

@@ -204,6 +204,18 @@ def test_walks_over_budget_exit2_at_once(argv):
     assert b"budget" in err and b"Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["newton", "--poly", "x1^10000000+x1^-10000000", "--d", "1"],  # interior scan
+    ["check", "c2", "--poly", "x1^3000+x2^3000+x1^-3000*x2^-3000", "--d", "2",
+     "--p", "3", "--s", "1"],  # interior scan, before the constant terms
+    ["newton", "--poly", "(1+x1+x2+x3)^8/(x1*x2*x3)", "--d", "3"],  # hull build
+])
+def test_geometry_over_budget_exit2_at_once(argv):
+    code, out, err = run_subprocess(*argv)
+    assert (code, out) == (2, b"")
+    assert b"budget" in err and b"Traceback" not in err
+
+
 def test_check_non_admissible_refused_exit2(capsys):
     code, out, err = run(capsys, "check", "c2", "--poly", "x1^2+x1^-1",
                          "--d", "1", "--p", "2")

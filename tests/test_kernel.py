@@ -12,6 +12,7 @@ import random
 import sys
 from array import array
 from math import comb, factorial, prod
+from operator import mul
 
 import pytest
 
@@ -294,6 +295,10 @@ def test_lattice_walks_match_dict_walk(src, d, basis, p, K):
     lam = parse_poly(src, d, p=p, K=K)
     lat = _lattice(lam)
     assert (list(lat[0]) if lat else None) == basis
+    if lat:
+        B, X, det = lat
+        assert [[sum(map(mul, row, col)) for col in zip(*X)] for row in B] == [
+            [det * (i == j) for j in range(d)] for i in range(d)]
     N = 24
     powers = dict_powers(lam, N)
     walk = _packed_walk(lam, lam, N - 1)
@@ -328,19 +333,16 @@ def test_closed_forms(src, d, parts, p, K, N, bits):
 
 
 def test_one_shot_products_across_cosets():
+    # one-shot products pack in Z^d, whatever cosets their factors lie on
     tri = parse_poly(TRIANGLE, 2, p=3, K=2)
     six = dict_powers(tri, 6)[6]
     shifted = six._mul_dict(LaurentPoly.monomial(2, (1, 0), p=3, K=2))  # another coset
-    walk = _packed_walk(shifted, tri, 1)
-    assert walk.lat == _lattice(tri)
     assert shifted * tri == shifted._mul_dict(tri)
-    mixed = six + LaurentPoly.monomial(2, (1, 0), p=3, K=2)  # on two cosets: Z^2
-    assert _packed_walk(mixed, tri, 2).lat == ()
+    mixed = six + LaurentPoly.monomial(2, (1, 0), p=3, K=2)  # on two cosets
     assert mixed * tri == mixed._mul_dict(tri)
     cheb = parse_poly(CHEB, 1, p=2, K=3)
     odd = dict_powers(cheb, 5)[5]
     even = parse_poly("x1^2+1+x1^-2", 1, p=2, K=3)
-    assert _packed_walk(odd, even, 1).lat == _lattice(even)
     assert odd * even == odd._mul_dict(even)
     monomial = LaurentPoly.monomial(2, (3, -2), 5, p=3, K=2)  # a rank-0 base
     dense = dense_poly(random.Random(2), 2, 3, 3, 2)

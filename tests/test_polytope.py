@@ -1,6 +1,9 @@
+import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from math import comb, gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +11,10 @@ from dworkcong import polytope
 from dworkcong.ghost import GhostCalculator
 from dworkcong.laurent import LaurentPoly
 from dworkcong.polyparse import parse_poly
-from dworkcong.polytope import LatticePolytope, is_admissible, newton_polytope
-from lp_oracle import lp_contains, lp_feasible, lp_maximize, lp_vertices
+from dworkcong.polytope import (LatticePolytope, _eliminate, _h_representation,
+                                _kernel, is_admissible, newton_polytope)
+from lp_oracle import (lp_contains, lp_feasible, lp_maximize, lp_vertices, rref,
+                       rref_kernel)
 
 APERY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 PENTAGON = [(-1, -1), (-1, 1), (0, 1), (1, -1), (1, 0)]
@@ -346,3 +351,134 @@ def test_facets_built_once_per_polytope(monkeypatch):
     assert builds == [P.points]
     assert is_admissible(apery()).admissible
     assert len(builds) == 2
+
+
+# -- integer elimination against the Fraction oracle ------------------------------
+
+
+def random_matrix(rng, nrows, ncols):
+    """A small integer matrix of random rank: a product of random factors,
+    sometimes with a row or a column set to zero."""
+    k = rng.randint(0, min(nrows, ncols))
+    A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+    B = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+    M = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] if k else [0] * ncols
+         for row in A]
+    if nrows and rng.random() < 0.3:
+        M[rng.randrange(nrows)] = [0] * ncols
+    if ncols and rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in M:
+            row[j] = 0
+    return M
+
+
+def leibniz(M):
+    """Determinant of a square matrix as a sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(M))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(M[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def test_elimination_matches_fraction_rref():
+    rng = random.Random(1968)
+    for nrows, ncols in product(range(6), repeat=2):
+        for _ in range(25):
+            M = random_matrix(rng, nrows, ncols)
+            R, pivots, det = _eliminate(M)
+            Q, qpivots = rref(M, ncols)
+            assert pivots == qpivots, M
+            assert det != 0 and R == [[det * x for x in row] for row in Q], M
+            if nrows == ncols == len(pivots):
+                assert abs(det) == abs(leibniz(M)), M
+            K = _kernel(M, ncols)
+            assert K == rref_kernel(Q, qpivots, ncols), M
+            assert len(K) == ncols - len(pivots)
+            for v in K:
+                assert gcd(*v) == 1
+                assert all(polytope._dot(row, v) == 0 for row in M), (M, v)
+
+
+def test_elimination_of_empty_and_zero_matrices():
+    assert _eliminate([]) == ([], [], 1)
+    assert _eliminate([[], []]) == ([], [], 1)
+    assert _eliminate([[0, 0], [0, 0]]) == ([], [], 1)
+    assert _kernel([], 2) == [(1, 0), (0, 1)]
+    assert _kernel([[], []], 0) == []
+    assert _kernel([[0, 0, 0]], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _eliminate([[0, 2], [3, 1]]) == ([[6, 0], [0, 6]], [0, 1], 6)  # det -6, rows swapped
+    assert _kernel([[2, 4, -6]], 3) == [(-2, 1, 0), (3, 0, 1)]
+
+
+def test_collinear_points_on_an_edge_add_no_facet():
+    # (0,0,0), (1,0,0), (2,0,0) have differences of rank 1: the first vector
+    # of their kernel, x2 = 0, supports the hull along that edge only
+    P = LatticePolytope(3, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 1), (0, 1, -1)])
+    assert _h_representation(P.points) == (3, (), (
+        ((-1, 0, 0), 0), ((0, -1, -1), 0), ((0, -1, 1), 0), ((1, 2, 0), 2)))
+    assert P.vertices() == [(0, 0, 0), (0, 1, -1), (0, 1, 1), (2, 0, 0)]
+
+
+def test_hulls_match_the_golden_record():
+    """_h_representation, vertices() and interior_lattice_points() on 200
+    seeded supports in d = 1..4, lower-dimensional ones included, as
+    recorded from the Fraction row reduction and Laplace minors that the
+    integer elimination replaced."""
+    path = Path(__file__).with_name("hull_golden.json")
+    for case in json.loads(path.read_text()):
+        points = [tuple(pt) for pt in case["points"]]
+        P = LatticePolytope(len(points[0]), points)
+        rank, equations, facets = _h_representation(P.points)
+        assert rank == case["rank"], points
+        assert [[list(e), c] for e, c in equations] == case["equations"], points
+        assert [[list(a), b] for a, b in facets] == case["facets"], points
+        assert [list(v) for v in P.vertices()] == case["vertices"], points
+        interior = [list(q) for q in P.interior_lattice_points()]
+        assert interior == case["interior"], points
+
+
+# -- the geometry budget ---------------------------------------------------------
+
+
+class _Estimated(Exception):
+    pass
+
+
+def estimates(monkeypatch):
+    """Record each geometry estimate that passes the budget, then stop."""
+    seen = []
+    check = polytope._check_geometry
+
+    def record(work, what):
+        check(work, what)
+        seen.append((what, work))
+        raise _Estimated
+
+    monkeypatch.setattr(polytope, "_check_geometry", record)
+    return seen
+
+
+def test_budget_admits_the_84_point_hull(monkeypatch):
+    seen = estimates(monkeypatch)
+    P = newton_polytope(parse_poly("(1+x1+x2+x3)^6/(x1*x2*x3)", 3))
+    assert len(P.points) == 84
+    with pytest.raises(_Estimated):
+        P.vertices()
+    assert seen == [("the hull", comb(84, 3) * 84)]
+
+
+def test_interior_scan_is_priced_by_box_and_facets(monkeypatch):
+    P = newton_polytope(apery())
+    P.vertices()  # builds the hull
+    seen = estimates(monkeypatch)
+    with pytest.raises(_Estimated):
+        P.interior_lattice_points()
+    assert seen == [("the interior scan", 3 * 3 * 5)]  # a 3x3 box, 5 facets
+
+
+def test_lower_dimensional_hulls_are_not_scanned():
+    # a segment's box holds 4e18 points: scanning it would be refused
+    P = LatticePolytope(2, [(-10**9, -10**9), (10**9, 10**9)])
+    assert P.interior_lattice_points() == []
