@@ -34,6 +34,7 @@ from itertools import zip_longest
 
 from .ghost import (
     GhostCalculator,
+    _check_ghost_work,
     c_from_b_sequence,
     digits_p,
     length_p,
@@ -246,8 +247,10 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
     if guard < 1:
         raise ValueError("guard must be >= 1")
     t0 = time.perf_counter()
+    _context_modulus(p, 1)  # before base-p digits: p = 0 or 1 has none
     K_max = length_p(n_max, p) - 1 + guard
     admissible = _admissible(lam, force)
+    _check_ghost_work(lam, p, n_max)
     calc = GhostCalculator(lam, p=p, K=K_max)
     # sharing the calculator's power cache: the constant-term pass also
     # fills the ghost checkpoints, so everything costs one sweep

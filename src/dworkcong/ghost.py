@@ -29,8 +29,10 @@ length-1 block, the only reading compatible with ell(0) = 1.
 from __future__ import annotations
 
 from itertools import product
+from math import factorial, prod
 
-from .laurent import LaurentPoly, PowerCache, constant_term_of_product
+from .laurent import (WALK_BUDGET, LaurentPoly, PowerCache, _check_work, _spans,
+                      constant_term_of_product)
 from .padic import PadicInt, _context_modulus
 
 
@@ -270,6 +272,20 @@ class GhostCalculator:
         if self.K is not None:
             total %= self.lam.modulus
         return total
+
+
+def _check_ghost_work(lam: LaurentPoly, p: int, n_max: int):
+    """Refuse c_n for every n <= n_max, p prime, when its estimated term
+    pairs exceed laurent's WALK_BUDGET.  For n of k digits, c_direct examines
+    the k! tuples of S_k, and each product lies in the box of Lam**n: the
+    estimate sums k! times that box, at the largest such n, over the n of
+    each k, and stops once it is over the budget."""
+    spans, work, k = _spans(lam), 0, 1
+    while work <= WALK_BUDGET and p ** (k - 1) <= n_max:
+        top, low = min(p**k - 1, n_max), p ** (k - 1) if k > 1 else 0
+        work += factorial(k) * (top - low + 1) * prod(top * s + 1 for s in spans)
+        k += 1
+    _check_work(work, "ghost layer", "term pairs")
 
 
 # -- spec-level convenience wrappers ------------------------------------------

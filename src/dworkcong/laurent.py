@@ -20,25 +20,26 @@ fills an (n+1)**3 box -- else in L's echelon basis, inverted by the integer
 elimination of `polytope`.  Every walk starts from a power of its base, so
 its running power lies on one coset of L.
 
-Constant-term sweeps and `PowerCache` walk the running power packed: a step
+Every power sequence -- `PowerCache.power`, `PowerCache.constant_terms` and
+`constant_term_sequence` -- is one walk of the running power, packed: a step
 is one shift-and-add per term of the base (one product with the packed base
 beyond SHIFT_ADD_TERMS terms), b_n is read from the origin's slot, slots are
 reduced only before they could overflow and a power is decoded only where a
 caller keeps it.  A reduction is one `bytes.translate` for 8-bit slots and a
 Barrett reduction on the packed integer, two slots to a lane, for wider ones.
-The walks of `constant_term_sequence`, which decode nothing, are trimmed at
-each reduction: with K steps to come, CT(cur * base**j), j <= K, reads cur
-only on the hull of the origin and -K.(base support), so the rows of the
-first box coordinate outside that hull are masked off or shifted out.
-`PowerCache` walks keep the whole box, since they decode the powers they
-save.  A walk estimated over WALK_BUDGET is refused with ValueError before it
-allocates anything.  The dict multiply handles the rest -- exact
-coefficients, slots beyond 64 bits, one-shot products with fewer term pairs
-than box slots -- and is the kernel's test oracle.
+Once no power is left to keep, a walk is trimmed at each reduction: with K
+steps to come, CT(cur * base**j), j <= K, reads cur only on the hull of the
+origin and -K.(base support), so the rows of the first box coordinate
+outside that hull are masked off or shifted out.  A walk or binary power
+estimated over WALK_BUDGET is refused with ValueError before it starts.  The
+dict multiply handles the rest -- exact coefficients, slots beyond 64 bits,
+one-shot products with fewer term pairs than box slots -- and is the
+kernel's test oracle.
 
 Also provided: truncated power series with coefficients mod p**K, supporting
 multiplication (the same kernel in one variable), substitution X -> X**p and
-inversion of unit-constant-term series -- enough to form quotients like
+inversion of unit-constant-term series by Newton's iteration on that kernel
+(Brent and Kung, J. ACM 25, 1978) -- enough to form quotients like
 f(X)/f(X**p) to a cutoff.
 """
 
@@ -295,9 +296,15 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, n):
-        """n-th power by binary powering; A**0 == 1."""
+        """n-th power by binary powering; A**0 == 1.  Refused when the last
+        squaring's term pairs (times coefficient words) exceed WALK_BUDGET."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if self:
+            work = prod(n // 2 * s + 1 for s in _spans(self)) ** 2
+            if self.modulus is None:
+                work *= _words((self, n))
+            _check_work(work, "power", "term pairs")
         result = LaurentPoly.one(self.arity, p=self.p, K=self.K)
         base = self
         while n:
@@ -407,7 +414,7 @@ def _mul_mod_lists(a, b, m, length=None):
     variable, or the schoolbook sum when the slot bound exceeds 64 bits."""
     if length is None:
         length = len(a) + len(b) - 1
-    slot = _slot(min(len(a), len(b)) * (m - 1) ** 2)
+    slot = _slot((m - 1) * max(1, min(sum(a), sum(b))))
     if slot is None:
         out = [0] * length
         for i, ai in enumerate(a[:length]):
@@ -520,10 +527,21 @@ SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
 WALK_BUDGET = 10**9
 
 
-def _check_work(work):
-    """Refuse a walk's work (final box slots times steps) over WALK_BUDGET."""
+def _check_work(work, what="walk", unit="slot-steps"):
+    """Refuse work (for a walk, final box slots times steps) over WALK_BUDGET."""
     if work > WALK_BUDGET:
-        raise ValueError(f"walk needs about {work} slot-steps; budget {WALK_BUDGET}")
+        raise ValueError(f"{what} needs about {work} {unit}; budget {WALK_BUDGET}")
+
+
+def _spans(f):
+    """The extent max - min of f's support in each coordinate."""
+    return [max(c) - min(c) for c in zip(*f._coeffs)]
+
+
+def _words(*powers):
+    """64-bit words of prod sum|f|**n, bounding the product's coefficients."""
+    bits = sum(n * log2(sum(map(abs, f._coeffs.values()))) for f, n in powers)
+    return max(1, ceil(bits / 64))
 
 
 class _PackedWalk:
@@ -532,13 +550,12 @@ class _PackedWalk:
     The slot at box coordinates u holds the exponent shift + u.B, B the
     lattice basis, in a box fixed for the walk.  Slots are reduced mod m only
     when the largest slot value `top`, times base's weight, could overflow.
-    A trimmed walk (`left`, the steps still to come, is not None) serves
-    constant terms only: at each reduction it also drops the rows of its
-    first box coordinate that no later constant term reads.
+    Its owner sets `left`, the steps still to come, once it decodes no more
+    powers: from then on each reduction also drops the rows of the first box
+    coordinate that no later constant term reads.
     """
 
-    def __init__(self, cur, base, lat, frame, base_frame, widths, slot, weight,
-                 steps, trim):
+    def __init__(self, cur, base, lat, frame, base_frame, widths, slot, weight):
         self.m = base.modulus
         self.ring = base  # makes the decoded polynomials
         self.lat = lat
@@ -553,8 +570,7 @@ class _PackedWalk:
         self.terms = [(i * self.bits, c) for i, c in zip(index, values)]
         self.base = (_pack(index, values, self.tc) if len(base) > SHIFT_ADD_TERMS
                      else None)
-        self.left = steps if trim else None
-        self.reduce = self.rows = None  # built at the first reduction and trim
+        self.left = self.reduce = self.rows = None  # set by the owner, or at need
 
     def _index(self, columns, lo):
         """The slots of the coordinates u given as columns, lo in slot 0."""
@@ -630,9 +646,9 @@ class _PackedWalk:
         return self.ring._make(dict(zip(zip(*exps), filter(None, residues))))
 
 
-def _packed_walk(cur, base, steps, trim=False):
-    """A packed walk from cur by `steps` multiplications by base, trimmed to
-    its constant terms when `trim`, or None for the dict multiply: exact
+def _packed_walk(cur, base, steps):
+    """A packed walk from cur by `steps` multiplications by base, or None
+    for the dict multiply: exact
     coefficients, an empty factor, a slot bound beyond 64 bits, or a one-shot
     product (steps == 1) with fewer term pairs than slots in its box.  Only
     a longer walk, whose cur is a power of base, packs in base's lattice."""
@@ -651,8 +667,7 @@ def _packed_walk(cur, base, steps, trim=False):
         return None
     widths = [s + steps * b + 1 for s, b in spans]
     _check_work(steps * prod(widths))
-    return _PackedWalk(cur, base, lat, frame, base_frame, widths, slot, weight,
-                       steps, trim)
+    return _PackedWalk(cur, base, lat, frame, base_frame, widths, slot, weight)
 
 
 class _DictWalk:
@@ -672,17 +687,15 @@ class _DictWalk:
         return self.cur
 
 
-def _walk(cur, base, steps, trim=False):
-    """The walk from cur by `steps` multiplications by base, packed (and
-    trimmed to its constant terms when `trim`) when the kernel applies;
-    refused (`_check_work`) before it allocates."""
-    walk = _packed_walk(cur, base, steps, trim)
+def _walk(cur, base, steps):
+    """The walk from cur by `steps` multiplications by base, packed when the
+    kernel applies; refused (`_check_work`) before it allocates."""
+    walk = _packed_walk(cur, base, steps)
     if walk is None and cur and base:
-        spans = ([max(c) - min(c) for c in zip(*f._coeffs)] for f in (cur, base))
-        work = steps * len(base) * prod(s + steps * b + 1 for s, b in zip(*spans))
+        spans = zip(_spans(cur), _spans(base))
+        work = steps * len(base) * prod(s + steps * b + 1 for s, b in spans)
         if base.modulus is None:  # words of the bound sum|cur| * sum|base|**steps
-            cur_sum, base_sum = (sum(map(abs, f._coeffs.values())) for f in (cur, base))
-            work *= max(1, ceil((log2(cur_sum) + steps * log2(base_sum)) / 64))
+            work *= _words((cur, 1), (base, steps))
         _check_work(work)
     return walk or _DictWalk(cur, base)
 
@@ -693,22 +706,18 @@ def constant_term_sequence(lam: LaurentPoly, N: int, p=None, K=None) -> list:
     Computed in lam's coefficient ring, or mod p**K when (p, K) is given.
     Uses iterated multiplication (not binary powering): every intermediate
     power is needed anyway, and multiplying the running power by the fixed
-    small factor is cheaper than repeated squaring of large supports.  Mod
-    p**K the running power stays packed, only its origin slot is read, and
-    the rows no later constant term reads are dropped at each reduction.
+    small factor is cheaper than repeated squaring of large supports.  It is
+    the walk of a fresh `PowerCache` that keeps no power, so it is trimmed
+    from its first step.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a non-negative integer")
     if p is not None:
         lam = lam.reduce_mod(p, K)
-    if N == 0:
-        return [1]
-    out = [1, lam.constant_term()]
-    walk = _walk(lam, lam, N - 1, trim=True)
-    for _ in range(N - 1):
-        walk.step()
-        out.append(walk.constant_term())
-    return out
+    cache = PowerCache(lam)
+    if N > 1:
+        cache._sweep(1, N)
+    return cache._cts[: N + 1]
 
 
 def constant_term_of_product(factors) -> int:
@@ -752,11 +761,10 @@ class PowerCache:
     A request for the n-th power walks up from the largest power already
     saved below n, multiplying by the base; only marked indices (plus the
     requested one) are retained, so memory stays proportional to the powers
-    actually used.  Mod p**K a walk stays packed and decodes only the powers
-    it retains.  Constant terms of every consecutive power are recorded
-    separately by `constant_terms`, whose pass also saves any marked powers
-    it walks through -- mark first, then ask for constant terms, and the
-    whole cache fills in a single sweep.
+    actually used.  Every walk records the constant terms past those known;
+    `constant_terms` walks on from the largest power saved at or below the
+    last known one -- mark first, then ask for constant terms, and the whole
+    cache fills in a single sweep.  A walk is trimmed after its last save.
     """
 
     def __init__(self, base: LaurentPoly):
@@ -765,8 +773,6 @@ class PowerCache:
         self._saved = {0: one, 1: base}
         self._marks = set()
         self._cts = [1, base.constant_term()]
-        self._ct_walk = _DictWalk(base, base)  # at power len(_cts) - 1
-        self._ct_walk_end = 1  # the highest power that walk was planned for
 
     def mark(self, indices):
         """Register power indices worth retaining when a walk passes them."""
@@ -775,31 +781,33 @@ class PowerCache:
     def power(self, n: int) -> LaurentPoly:
         if n < 0:
             raise ValueError("power index must be non-negative")
-        got = self._saved.get(n)
-        if got is not None:
-            return got
-        start = max(k for k in self._saved if k < n)
-        walk = _walk(self._saved[start], self.base, n - start)
-        for i in range(start + 1, n + 1):
-            walk.step()
-            if i == n or i in self._marks:
-                self._saved[i] = walk.poly()
+        if n not in self._saved:
+            self._sweep(n - 1, n, (n,))
         return self._saved[n]
 
     def constant_terms(self, N: int) -> list:
         """Constant terms of powers 0..N (iterated multiplication)."""
-        k = len(self._cts) - 1
-        if N > self._ct_walk_end:
-            self._ct_walk = _walk(self._ct_walk.poly(), self.base, N - k)
-            self._ct_walk_end = N
-        walk = self._ct_walk
-        while k < N:
-            k += 1
-            walk.step()
-            self._cts.append(walk.constant_term())
-            if k in self._marks and k not in self._saved:
-                self._saved[k] = walk.poly()
+        if N >= len(self._cts):
+            self._sweep(len(self._cts) - 1, N)
         return self._cts[: N + 1]
+
+    def _sweep(self, top, n, keep=()):
+        """Walk from the largest saved power at or below `top` up to n,
+        recording constant terms and saving the marked powers and `keep`;
+        once none is left to save, the walk trims itself (`left`)."""
+        start = max(k for k in self._saved if k <= top)
+        keep = {k for k in chain(self._marks, keep)
+                if start < k <= n and k not in self._saved}
+        last = max(keep, default=start)
+        walk = _walk(self._saved[start], self.base, n - start)
+        for i in range(start + 1, n + 1):
+            if i == last + 1:
+                walk.left = n - last
+            walk.step()
+            if i == len(self._cts):
+                self._cts.append(walk.constant_term())
+            if i in keep:
+                self._saved[i] = walk.poly()
 
 
 class TruncSeries:
@@ -861,23 +869,19 @@ class TruncSeries:
         return TruncSeries(self.p, self.K, self.N, out)
 
     def invert(self) -> "TruncSeries":
-        """Series G with self*G == 1 up to the cutoff; needs a unit c_0."""
+        """Series G with self*G == 1 up to the cutoff; needs a unit c_0.  Newton:
+        if self*G == 1 + X**k H, then G - X**k G H is good to X**(2k)."""
         c0 = self.coeffs[0]
         if c0 % self.p == 0:
             raise ValueError(
                 f"constant term {c0} is not a unit mod {self.p}; series not invertible"
             )
-        m = self.modulus
-        inv0 = pow(c0, -1, m)
-        g = [inv0] + [0] * self.N
-        f = self.coeffs
-        for n in range(1, self.N + 1):
-            acc = 0
-            for i in range(1, n + 1):
-                fi = f[i]
-                if fi:
-                    acc += fi * g[n - i]
-            g[n] = (-inv0 * acc) % m
+        m, f, n = self.modulus, self.coeffs, self.N + 1
+        g = [pow(c0, -1, m)]
+        while len(g) < n:
+            k = len(g)
+            h = _mul_mod_lists(f[: 2 * k], g, m, 2 * k)[k:]
+            g += [-v % m for v in _mul_mod_lists(g, h, m, min(k, n - k))]
         return TruncSeries(self.p, self.K, self.N, g)
 
     def __repr__(self):

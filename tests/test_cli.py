@@ -211,9 +211,34 @@ def test_walks_over_budget_exit2_at_once(argv):
     ["newton", "--poly", "(1+x1+x2+x3)^8/(x1*x2*x3)", "--d", "3"],  # hull build
 ])
 def test_geometry_over_budget_exit2_at_once(argv):
+    # a monomial power such as x1^10000000 is admitted by the power budget
     code, out, err = run_subprocess(*argv)
     assert (code, out) == (2, b"")
-    assert b"budget" in err and b"Traceback" not in err
+    assert b"budget" in err and b"dot products" in err and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the parser's '^': binary powering priced by its last squaring
+    ["newton", "--poly", "(1+x1+x2)^3000", "--d", "2"],
+    ["newton", "--poly", "(1+x1)^200000", "--d", "1"],
+    ["newton", "--poly", "(x1+x1^-1)^100000", "--d", "1"],
+    # the lemma's ghost layer: tuples times the box of each power
+    ["check", "lemma", "--p", "2", "--nmax", "200"],
+    ["check", "lemma", "--p", "2", "--nmax", "500"],
+])
+def test_powers_and_ghost_layer_over_budget_exit2_at_once(argv):
+    code, out, err = run_subprocess(*argv, timeout=5)
+    assert (code, out) == (2, b"")
+    assert b"budget" in err and b"term pairs" in err and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_check_lemma_non_prime_exit2(p):
+    # p is checked before n_max is split into base-p digits (p = 1 hung, and
+    # p = 0 divided by zero)
+    code, out, err = run_subprocess("check", "lemma", "--p", p, "--nmax", "5")
+    assert (code, out) == (2, b"")
+    assert b"not prime" in err and b"Traceback" not in err
 
 
 def test_check_non_admissible_refused_exit2(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from dworkcong.ghost import (
     GhostCalculator,
+    _check_ghost_work,
     c_direct,
     c_from_b,
     c_from_b_sequence,
@@ -302,3 +303,15 @@ def test_reconstruct_b_apery_end_to_end():
     b = calc.constant_terms(10)
     c = [calc.c_direct(n) for n in range(11)]
     assert reconstruct_b(c, 10, 3, modulus=3**K) == b[10] % 3**K
+
+
+def test_ghost_work_budget():
+    # admitted: the bench's and criterion 05's lemma runs, and p = 2 to 63;
+    # refused: p = 2 to 100 and p = 3 to 242 (about 6 s and 64 s of work on a
+    # 2-core x86-64 host)
+    lam = apery()
+    for p, n_max in [(2, 15), (2, 63), (3, 50), (3, 80), (5, 124)]:
+        _check_ghost_work(lam, p, n_max)
+    for p, n_max in [(2, 100), (3, 242), (2, 10**4000)]:
+        with pytest.raises(ValueError, match="ghost layer .* term pairs; budget"):
+            _check_ghost_work(lam, p, n_max)

@@ -16,7 +16,9 @@ from operator import mul
 
 import pytest
 
+from dworkcong import laurent
 from dworkcong.apery import APERY_POLY_SRC, apery_numbers_mod
+from dworkcong.congruence import check_c2
 from dworkcong.laurent import (
     LaurentPoly,
     PowerCache,
@@ -202,6 +204,24 @@ def test_coefficient_lists(m):
         b[-1] = 0  # a zero top coefficient still counts as a slot
         assert _mul_mod_lists(a, b, m, count) == schoolbook(a, b, m, count)
     assert _mul_mod_lists(a, b, m) == schoolbook(a, b, m, la + lb - 1)
+    assert _mul_mod_lists(a, [0] * 3, m) == [0] * (la + 2)  # a zero factor
+
+
+def test_c2_series_pack_in_16_bit_slots(monkeypatch):
+    # the slot bound is (m-1) times the smaller sum of residues: at p = 3,
+    # s = 3 that fits 16 bits, where (m-1)**2 times the padded length,
+    # 105 * 26**2 = 70,980, took 32
+    widths, slot = [], laurent._slot
+
+    def counted(bound):
+        widths.append(slot(bound)[0])
+        return slot(bound)
+
+    monkeypatch.setattr(laurent, "_slot", counted)
+    lam = parse_poly(APERY_POLY_SRC, 2)
+    b = apery_numbers_mod(3**4 - 1, 3**3)  # supplied: no walk packs anything
+    assert check_c2(lam, 3, 3, b=b).passed
+    assert widths and set(widths) == {16}
 
 
 def test_series_product_at_wide_modulus():
@@ -464,7 +484,8 @@ def test_trim_keeps_rows_between_the_origin_and_the_scaled_support():
     # only the origin's row keeps the exponents the middle steps read
     base = LaurentPoly(1, {(1,): 1, (2,): 1}, p=3, K=2)
     cur = LaurentPoly(1, {(-20,): 1, (-12,): 2}, p=3, K=2)
-    walk, steps = _packed_walk(cur, base, 20, trim=True), [cur]
+    walk, steps = _packed_walk(cur, base, 20), [cur]
+    walk.left = 20  # trimmed from the first step, as a sweep that keeps nothing
     for _ in range(20):
         steps.append(steps[-1]._mul_dict(base))
         walk.step()
@@ -473,17 +494,20 @@ def test_trim_keeps_rows_between_the_origin_and_the_scaled_support():
     assert walk.left == 0 and walk.rows is not None
 
 
-def test_power_cache_walks_are_not_trimmed(monkeypatch):
+def test_power_cache_sweeps_trim_after_their_last_kept_power(monkeypatch):
     trims = sweep_trims(monkeypatch)
     lam = parse_poly(SIMPLEX3, 3, p=2, K=4)
-    powers = dict_powers(lam, 40)
+    N = 60
+    powers = dict_powers(lam, N)
     cache = PowerCache(lam)
     cache.mark([17, 30, 39])
-    assert cache.constant_terms(40) == [q.constant_term() for q in powers]
+    assert cache.constant_terms(N) == [q.constant_term() for q in powers]
     for n in (17, 30, 39):  # decoded late in a sweep that reduced many times
         assert cache._saved[n] == powers[n]
-    assert cache.power(40) == powers[40]
-    assert not trims and cache._ct_walk.left is None
+    assert trims and all(left <= N - 39 for left in trims)
+    del trims[:]
+    assert cache.power(N) == powers[N]  # from power 39, not the trimmed walk
+    assert not trims
 
 
 def full_constant_term(factors):

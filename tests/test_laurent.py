@@ -188,8 +188,31 @@ def test_series_compose_xp():
 
 def test_series_invert_requires_unit():
     f = TruncSeries(5, 2, 3, [5, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^constant term 5 is not a unit mod 5; "
+                       "series not invertible$"):
         f.invert()
+
+
+def invert_oracle(f):
+    """The inverse by the quadratic recurrence g_n = -g_0 sum_{i=1..n} f_i g_{n-i}."""
+    m, c = f.modulus, f.coeffs
+    g = [pow(c[0], -1, m)]
+    for n in range(1, f.N + 1):
+        g.append(-g[0] * sum(c[i] * g[n - i] for i in range(1, n + 1)) % m)
+    return g
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_series_invert_matches_quadratic_oracle(p, K):
+    rng = random.Random(100 * p + K)
+    m = p**K
+    for N in (0, 1, 2, 63, 144, 300):
+        coeffs = [rng.randrange(m) for _ in range(N + 1)]
+        coeffs[0] = rng.choice([u for u in range(1, m) if u % p])
+        f = TruncSeries(p, K, N, coeffs)
+        for g in (f, f.compose_xp()):
+            assert g.invert().coeffs == invert_oracle(g), (N, g)
 
 
 def test_series_mul_inverse_is_one():
