@@ -164,6 +164,7 @@ class GhostCalculator:
         self._level = 0
         self._ghost = {}
         self._shifted = {}
+        self._tuples = {}  # length k -> the indecomposable tuples of S_k
 
     def _mark_level(self, level: int):
         """Mark the powers Lam**(a * p**s), digit a, s < level, as worth keeping.
@@ -247,12 +248,19 @@ class GhostCalculator:
     def tuple_product_constant_term(self, n: int, m) -> int:
         return constant_term_of_product(self._factors(n, m))
 
+    def _indecomposable(self, n: int) -> list:
+        """The indecomposable tuples for n's digit count, enumerated once."""
+        k = length_p(n, self.p)
+        if k not in self._tuples:
+            self._tuples[k] = enumerate_indecomposable(k)
+        return self._tuples[k]
+
     def indecomposable_sum(self, n: int) -> LaurentPoly:
         """I_n: the sum of R[n, m] over indecomposable m; I_0 = 1."""
         if n < 0:
             raise ValueError("n must be non-negative")
         total = LaurentPoly.zero(self.lam.arity, p=self.lam.p, K=self.lam.K)
-        for m in enumerate_indecomposable(length_p(n, self.p)):
+        for m in self._indecomposable(n):
             total = total + self.tuple_product(n, m)
         return total
 
@@ -265,7 +273,7 @@ class GhostCalculator:
         if n < 0:
             raise ValueError("n must be non-negative")
         total = 0
-        for m in enumerate_indecomposable(length_p(n, self.p)):
+        for m in self._indecomposable(n):
             if self.K is not None and sum(m) >= self.K:
                 continue
             total += self.tuple_product_constant_term(n, m)

@@ -9,8 +9,9 @@ The sparse map holds the n-th power of a d-variable polynomial, whose O(n^d)
 terms spread over a scaled Newton polytope.  Mod m = p**K, though, products
 go through one Kronecker kernel (D. Harvey, arXiv:0712.4046): a box of
 exponent coordinates maps to one index, and each factor becomes one integer
-holding its residues in slots of the narrowest width (8 to 64 bits) that
-holds (m-1) times the sum of the second (shorter) factor's residues.  A
+holding its residues in slots of the narrowest width that holds (m-1) times
+the sum of the second (shorter) factor's residues: 8, 16, 32 or 64 bits, and
+whole 64-bit words beyond that, so every modulus packs.  A
 one-shot product packs in Z^d, exponents being their own coordinates.  A walk
 -- repeated products by one factor, the base -- packs in the coordinates of
 the lattice L spanned by the base's support differences (H. Cohen, A Course
@@ -32,9 +33,8 @@ steps to come, CT(cur * base**j), j <= K, reads cur only on the hull of the
 origin and -K.(base support), so the rows of the first box coordinate
 outside that hull are masked off or shifted out.  A walk or binary power
 estimated over WALK_BUDGET is refused with ValueError before it starts.  The
-dict multiply handles the rest -- exact coefficients, slots beyond 64 bits,
-one-shot products with fewer term pairs than box slots -- and is the
-kernel's test oracle.
+dict multiply handles the rest -- exact coefficients and one-shot products
+with fewer term pairs than box slots -- and is the kernel's test oracle.
 
 Also provided: truncated power series with coefficients mod p**K, supporting
 multiplication (the same kernel in one variable), substitution X -> X**p and
@@ -356,24 +356,39 @@ class LaurentPoly:
 # -- Kronecker kernel -----------------------------------------------------------
 
 _ORDER = sys.byteorder  # int <-> bytes in the order `array` reads its items
-# (bits, array typecode) for every byte-aligned slot width, narrowest first
-_SLOTS = tuple(sorted({8 * array(tc).itemsize: tc for tc in "QLIHB"}.items()))
+_TYPECODES = {8 * array(tc).itemsize: tc for tc in "QLIHB"}  # bits -> typecode
 
 
 def _slot(bound):
-    """(bits, typecode) of the narrowest slot holding 0..bound, or None."""
-    for bits, tc in _SLOTS:
-        if bound >> bits == 0:
-            return bits, tc
-    return None
+    """Bits of the narrowest slot holding 0..bound: 8, 16, 32 or 64, and
+    whole 64-bit words beyond that."""
+    n = bound.bit_length()
+    if n > 64:
+        return -(-n // 64) * 64
+    return next(bits for bits in (8, 16, 32, 64) if n <= bits)
 
 
-def _slots(x, tc):
-    """The slots of the packed integer x as an array of typecode tc."""
-    slots = array(tc)
-    size = slots.itemsize
-    slots.frombytes(x.to_bytes(-(-x.bit_length() // (8 * size)) * size, _ORDER))
-    return slots
+def _slots(x, bits):
+    """The slots of `bits` bits of the packed integer x, lowest first: an
+    array up to 64 bits, a list of ints beyond."""
+    size = bits // 8
+    data = x.to_bytes(-(-x.bit_length() // bits) * size, _ORDER)
+    if bits in _TYPECODES:
+        return array(_TYPECODES[bits], data)
+    return [int.from_bytes(data[i:i + size], _ORDER) for i in range(0, len(data), size)]
+
+
+def _pack(values, bits, index=None):
+    """Residues in slots of `bits` bits of one integer: the i-th value in
+    slot index[i], or in slot i without an index."""
+    if index is not None:
+        slots = [0] * (max(index) + 1)
+        for i, c in zip(index, values):
+            slots[i] = c
+        values = slots
+    if bits in _TYPECODES:
+        return int.from_bytes(array(_TYPECODES[bits], values), _ORDER)
+    return int.from_bytes(b"".join(c.to_bytes(bits // 8, _ORDER) for c in values), _ORDER)
 
 
 def _reducer(m, bits, slots):
@@ -400,31 +415,14 @@ def _reducer(m, bits, slots):
     return reduce
 
 
-def _pack(index, values, tc):
-    """Residues in the given slots of one integer."""
-    slots = array(tc, [0]) * (max(index) + 1)
-    for i, c in zip(index, values):
-        slots[i] = c
-    return int.from_bytes(slots, _ORDER)
-
-
 def _mul_mod_lists(a, b, m, length=None):
     """The first `length` (default: all) coefficients of the product of two
     lists of residues mod m, reduced mod m: one Kronecker product in one
-    variable, or the schoolbook sum when the slot bound exceeds 64 bits."""
+    variable, in slots that hold (m-1) times the smaller sum of residues."""
     if length is None:
         length = len(a) + len(b) - 1
-    slot = _slot((m - 1) * max(1, min(sum(a), sum(b))))
-    if slot is None:
-        out = [0] * length
-        for i, ai in enumerate(a[:length]):
-            if ai:
-                for j, bj in enumerate(b[: length - i]):
-                    out[i + j] += ai * bj
-        return [v % m for v in out]
-    tc = slot[1]
-    x = int.from_bytes(array(tc, a), _ORDER) * int.from_bytes(array(tc, b), _ORDER)
-    out = [v % m for v in _slots(x, tc)[:length]]
+    bits = _slot((m - 1) * max(1, min(sum(a), sum(b))))
+    out = [v % m for v in _slots(_pack(a, bits) * _pack(b, bits), bits)[:length]]
     return out + [0] * (length - len(out))
 
 
@@ -519,16 +517,18 @@ def _frame(poly, lat):
 
 
 SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
-# Slot-steps; a dict walk counts len(base) term pairs per slot-step, and an
-# exact one each pair again per 64-bit word of its largest coefficient.  On a
-# 2-core x86-64 host: 24 ns each for a 16-bit Apery walk (24 s at the bound),
-# 2 ns for an 8-bit sublattice walk, and 120 to 200 ns a term pair for exact
-# Apery walks to N = 60 and 150 (1 and 3 words).
+# Slot-words: a step of a packed walk counts its box slots times ceil(bits/64),
+# one of a dict walk len(base) term pairs per box slot times the 64-bit words
+# of its largest coefficient, and each step 128 more for its fixed cost (about
+# 3 us).  On a 2-core x86-64 host: 24 ns each for a 16-bit Apery walk (24 s at
+# the bound), 20 to 23 ns for slots of 128 to 448 bits, 2 ns for an 8-bit
+# sublattice walk, and 120 to 200 ns for exact Apery walks to N = 60 and 150
+# (1 and 3 words).
 WALK_BUDGET = 10**9
 
 
-def _check_work(work, what="walk", unit="slot-steps"):
-    """Refuse work (for a walk, final box slots times steps) over WALK_BUDGET."""
+def _check_work(work, what="walk", unit="slot-words"):
+    """Refuse `work`, in `unit`s, over WALK_BUDGET."""
     if work > WALK_BUDGET:
         raise ValueError(f"{what} needs about {work} {unit}; budget {WALK_BUDGET}")
 
@@ -555,20 +555,20 @@ class _PackedWalk:
     coordinate that no later constant term reads.
     """
 
-    def __init__(self, cur, base, lat, frame, base_frame, widths, slot, weight):
+    def __init__(self, cur, base, lat, frame, base_frame, widths, bits, weight):
         self.m = base.modulus
         self.ring = base  # makes the decoded polynomials
         self.lat = lat
         self.shift, self.base_shift = frame[0], base_frame[0]
         self.widths = widths
         self.strides = [prod(widths[i + 1:]) for i in range(len(widths))]
-        self.bits, self.tc = slot
+        self.bits = bits
         self.weight = weight
         self.top = self.m - 1
-        self.x = _pack(self._index(*frame[1:3]), cur._coeffs.values(), self.tc)
+        self.x = _pack(cur._coeffs.values(), bits, self._index(*frame[1:3]))
         index, values = self._index(*base_frame[1:3]), base._coeffs.values()
-        self.terms = [(i * self.bits, c) for i, c in zip(index, values)]
-        self.base = (_pack(index, values, self.tc) if len(base) > SHIFT_ADD_TERMS
+        self.terms = [(i * bits, c) for i, c in zip(index, values)]
+        self.base = (_pack(values, bits, index) if len(base) > SHIFT_ADD_TERMS
                      else None)
         self.left = self.reduce = self.rows = None  # set by the owner, or at need
 
@@ -636,7 +636,7 @@ class _PackedWalk:
 
     def poly(self):
         m = self.m
-        slots = _slots(self.x, self.tc)
+        slots = _slots(self.x, self.bits)
         index = list(compress(count(), slots))
         residues = [slots[i] % m for i in index]
         index = list(compress(index, residues))
@@ -647,18 +647,16 @@ class _PackedWalk:
 
 
 def _packed_walk(cur, base, steps):
-    """A packed walk from cur by `steps` multiplications by base, or None
-    for the dict multiply: exact
-    coefficients, an empty factor, a slot bound beyond 64 bits, or a one-shot
-    product (steps == 1) with fewer term pairs than slots in its box.  Only
-    a longer walk, whose cur is a power of base, packs in base's lattice."""
+    """A packed walk from cur by `steps` multiplications by base, in slots
+    of `_slot((m-1) * weight)` bits, or None for the dict multiply: exact
+    coefficients, an empty factor, or a one-shot product (steps == 1) with
+    fewer term pairs than slots in its box.  Only a longer walk, whose cur
+    is a power of base, packs in base's lattice."""
     m = base.modulus
     if m is None or not cur or not base:
         return None
     weight = sum(base._coeffs.values())
-    slot = _slot((m - 1) * weight)
-    if slot is None:
-        return None
+    bits = _slot((m - 1) * weight)
     lat = _lattice(base) if steps > 1 else ()
     frame = _frame(cur, lat)
     base_frame = _frame(base, lat)
@@ -666,8 +664,8 @@ def _packed_walk(cur, base, steps):
     if steps == 1 and len(cur) * len(base) < prod(s + b + 1 for s, b in spans):
         return None
     widths = [s + steps * b + 1 for s, b in spans]
-    _check_work(steps * prod(widths))
-    return _PackedWalk(cur, base, lat, frame, base_frame, widths, slot, weight)
+    _check_work(steps * (prod(widths) * -(-bits // 64) + 128))
+    return _PackedWalk(cur, base, lat, frame, base_frame, widths, bits, weight)
 
 
 class _DictWalk:
@@ -692,11 +690,9 @@ def _walk(cur, base, steps):
     kernel applies; refused (`_check_work`) before it allocates."""
     walk = _packed_walk(cur, base, steps)
     if walk is None and cur and base:
-        spans = zip(_spans(cur), _spans(base))
-        work = steps * len(base) * prod(s + steps * b + 1 for s, b in spans)
-        if base.modulus is None:  # words of the bound sum|cur| * sum|base|**steps
-            work *= _words((cur, 1), (base, steps))
-        _check_work(work)
+        box = prod(s + steps * b + 1 for s, b in zip(_spans(cur), _spans(base)))
+        words = _words((cur, 1), (base, steps))  # of sum|cur| * sum|base|**steps
+        _check_work(steps * (len(base) * box * words + 128))
     return walk or _DictWalk(cur, base)
 
 

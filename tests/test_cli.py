@@ -195,6 +195,8 @@ def test_check_ignores_unused_huge_s(argv, fmt):
     ["ct", "--N", "100000000", "--p", "3", "--K", "2"],
     ["ct", "--N", "100000000"],  # exact: the dict walk
     ["ct", "--N", "300"],  # exact, priced by its coefficients' 64-bit words
+    ["ct", "--N", "600", "--p", "3", "--K", "40"],  # slot-steps fit, 128-bit slot-words do not
+    ["ct", "--poly", "x1", "--d", "1", "--N", "100000000", "--p", "3", "--K", "1"],  # cost per step
 ])
 def test_walks_over_budget_exit2_at_once(argv):
     # refused before the walk allocates anything (it used to end in a

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from dworkcong import ghost
+from dworkcong.congruence import run_lemma_suite
 from dworkcong.ghost import (
     GhostCalculator,
     _check_ghost_work,
@@ -120,6 +122,17 @@ def test_indecomposable_weight_bound():
 def test_invalid_tuple_rejected():
     with pytest.raises(ValueError):
         is_indecomposable((1, 0))
+
+
+def test_indecomposable_tuples_enumerated_once_per_length(monkeypatch):
+    # c_n for n <= 63 at p = 2 reads S_1..S_6: each tuple is tested once,
+    # not once for every n with its number of digits
+    tested, test = [], ghost.is_indecomposable
+    monkeypatch.setattr(ghost, "is_indecomposable",
+                        lambda m: tested.append(m) or test(m))
+    assert run_lemma_suite(apery(), 2, 63).passed
+    assert len(tested) == sum(math.factorial(k) for k in range(1, 7))
+    assert enumerate_indecomposable(2) is not enumerate_indecomposable(2)  # fresh lists
 
 
 # -- ghost terms --------------------------------------------------------------------

@@ -10,7 +10,6 @@ slowdown rather than a wrong answer.
 
 import random
 import sys
-from array import array
 from math import comb, factorial, prod
 from operator import mul
 
@@ -25,6 +24,7 @@ from dworkcong.laurent import (
     TruncSeries,
     _lattice,
     _mul_mod_lists,
+    _pack,
     _PackedWalk,
     _packed_walk,
     _reducer,
@@ -66,7 +66,7 @@ def line(coeff, exponents, p, K):
 
 
 @pytest.mark.parametrize("arity,radius", [(1, 6), (2, 3), (3, 1)])
-@pytest.mark.parametrize("p,K", [(2, 1), (2, 5), (3, 4), (7, 2)])
+@pytest.mark.parametrize("p,K", [(2, 1), (2, 5), (3, 4), (7, 2), (3, 45)])
 def test_dense_products_match_dict(arity, radius, p, K):
     rng = random.Random(arity * 1000 + p * 10 + K)
     for _ in range(4):
@@ -136,11 +136,11 @@ def test_exact_ring_takes_the_dict_path():
     assert constant_term_sequence(lam, 4) == [1, 3, 19, 147, 1251]
 
 
-@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+@pytest.mark.parametrize("bits", [8, 16, 32, 64, 128, 192])
 def test_slot_width_boundaries(bits):
-    assert _slot(2**bits - 1)[0] == bits
-    following = _slot(2**bits)
-    assert following is None if bits == 64 else following[0] == 2 * bits
+    # byte-aligned widths double up to 64 bits, then grow by whole words
+    assert _slot(2**bits - 1) == bits
+    assert _slot(2**bits) == (2 * bits if bits < 64 else bits + 64)
 
 
 @pytest.mark.parametrize("p,K,terms,bits", [
@@ -149,15 +149,16 @@ def test_slot_width_boundaries(bits):
     (2, 1, 255, 8), (2, 1, 256, 16),
     (2, 8, 1, 16), (2, 8, 2, 32),
     (2, 16, 1, 32), (2, 16, 2, 64),
-    (2, 32, 1, 64), (2, 32, 2, None),
+    (2, 32, 1, 64), (2, 32, 2, 128),
+    # odd moduli whose (m-1)**2 fills the top byte of a wide slot
+    (3, 40, 1, 128), (3, 60, 1, 192),
 ])
 def test_largest_fitting_products(p, K, terms, bits):
     m = p**K
     a = line(m - 1, range(terms + 3), p, K)
     b = line(m - 1, range(-terms + 1, 1), p, K)  # constant term: terms*(m-1)**2
-    slot = _slot(terms * (m - 1) ** 2)
-    assert (slot and slot[0]) == bits
-    assert packed(a, b) == (bits is not None)
+    assert _slot(terms * (m - 1) ** 2) == bits
+    assert packed(a, b)
     assert a * b == a._mul_dict(b)
 
 
@@ -179,7 +180,9 @@ def test_power_cache_saves_dict_built_powers():
 
 
 @pytest.mark.parametrize("p,K,N,bits", [(5, 4, 124, 16), (2, 1, 63, 8),
-                                        (3, 13, 40, 32), (2, 31, 40, 64)])
+                                        (3, 13, 40, 32), (2, 31, 40, 64),
+                                        (3, 40, 60, 128), (2, 70, 60, 128),
+                                        (3, 100, 40, 192)])
 def test_packed_sweep_matches_apery_recurrence(p, K, N, bits):
     lam = parse_poly(APERY_POLY_SRC, 2, p=p, K=K)
     walk = _packed_walk(lam, lam, N - 1)
@@ -195,7 +198,8 @@ def schoolbook(a, b, m, count):
     return [v % m for v in out[:count]] + [0] * (count - len(out))
 
 
-@pytest.mark.parametrize("m", [2, 5**3, 2**31 - 1, 2**40])  # 2**40 overflows 64 bits
+# from 2**40 on the slots are wider than 64 bits
+@pytest.mark.parametrize("m", [2, 5**3, 2**31 - 1, 2**40, 2**64, 3**41, 2**200])
 def test_coefficient_lists(m):
     rng = random.Random(m)
     for la, lb, count in [(1, 1, 1), (9, 4, 12), (30, 17, 20), (5, 5, 15)]:
@@ -214,7 +218,7 @@ def test_c2_series_pack_in_16_bit_slots(monkeypatch):
     widths, slot = [], laurent._slot
 
     def counted(bound):
-        widths.append(slot(bound)[0])
+        widths.append(slot(bound))
         return slot(bound)
 
     monkeypatch.setattr(laurent, "_slot", counted)
@@ -310,7 +314,7 @@ LATTICES = [
 
 
 @pytest.mark.parametrize("src,d,basis", LATTICES)
-@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2)])
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2), (3, 45)])
 def test_lattice_walks_match_dict_walk(src, d, basis, p, K):
     lam = parse_poly(src, d, p=p, K=K)
     lat = _lattice(lam)
@@ -337,7 +341,7 @@ def test_lattice_walks_match_dict_walk(src, d, basis, p, K):
 @pytest.mark.parametrize("src,d,parts", [(CHEB, 1, 2), (TRIANGLE, 2, 3), (SIMPLEX3, 3, 4)])
 @pytest.mark.parametrize("p,K,N,bits", [
     (2, 4, 120, 8),  # m = 2**K, about 60 byte-table reductions
-    (3, 5, 36, 16), (5, 8, 30, 32), (2, 32, 40, 64),
+    (3, 5, 36, 16), (5, 8, 30, 32), (2, 32, 40, 64), (3, 45, 40, 128),
 ])
 def test_closed_forms(src, d, parts, p, K, N, bits):
     # b_n = n! / ((n/parts)!)**parts when parts divides n, else 0
@@ -407,10 +411,9 @@ def test_origin_outside_the_box():
 # -- lane-parallel reduction and trimmed sweeps --------------------------------
 
 
-@pytest.mark.parametrize("bits", [16, 32, 64])
+@pytest.mark.parametrize("bits", [16, 32, 64, 128, 192])
 @pytest.mark.parametrize("count", [1, 2, 7, 8, 101])
 def test_lane_reduction_gives_exact_residues(bits, count):
-    tc = _slot(2**bits - 1)[1]
     top = 2**bits - 1
     rng = random.Random(bits * 1000 + count)
     moduli = [2, 2**(bits // 2), 3**5, 5**3, 7**(bits // 6),  # p**K, m = 2, m = 2**K
@@ -422,8 +425,7 @@ def test_lane_reduction_gives_exact_residues(bits, count):
                        [rng.randrange(2**bits) for _ in range(count)],
                        [min(v, top) for v in (m - 1, m, 2 * m - 1, 0)][:count]
                        + [top] * (count - 4)):
-            x = int.from_bytes(array(tc, values), sys.byteorder)
-            got = list(_slots(reduce(x), tc))
+            got = list(_slots(reduce(_pack(values, bits)), bits))
             assert got + [0] * (count - len(got)) == [v % m for v in values], m
 
 
