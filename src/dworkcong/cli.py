@@ -47,8 +47,11 @@ def _emit(args, document, text_lines):
     else:
         payload = "\n".join(text_lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:  # a usage error (exit 2), not a failed check
+            raise ValueError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

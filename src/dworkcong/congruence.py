@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from math import prod
 
 from .ghost import (
     GhostCalculator,
@@ -98,9 +98,11 @@ def _admissible(lam, force) -> bool:
     """The admissibility gate: raises NotAdmissibleError unless `force`."""
     report = is_admissible(lam)
     if not report.admissible and not force:
+        points = list(report.interior_points)
+        shown = ", ".join(map(str, points[:5])) + (", ..." if len(points) > 5 else "")
         raise NotAdmissibleError(
             "the Newton polytope does not have the origin as its only interior "
-            f"integral point (interior points: {list(report.interior_points)}); "
+            f"integral point ({len(points)} interior points: {shown}); "
             "pass force=True to run the check anyway"
         )
     return report.admissible
@@ -122,12 +124,18 @@ def _prepare(lam, p, K, b, need, sweep=None):
     return [v % modulus for v in b[:need]]
 
 
-def _first_mismatch(lhs, rhs, m):
-    """The c1/c2 witness: the lowest power of X whose coefficients differ mod m."""
-    for n, (u, v) in enumerate(zip_longest(lhs, rhs, fillvalue=0)):
-        if (u - v) % m:
-            return {"exponent": n, "lhs": u % m, "rhs": v % m}
+def _first_mismatch(cases, m):
+    """The witness of the first case (fields, lhs, rhs) with lhs != rhs mod m:
+    its fields and both sides reduced mod m; None when every case holds."""
+    for fields, lhs, rhs in cases:
+        if (lhs - rhs) % m:
+            return {**fields, "lhs": lhs % m, "rhs": rhs % m}
     return None
+
+
+def _series_cases(lhs, rhs):
+    """The c1/c2 cases: the coefficients of X**n on the two sides."""
+    return (({"exponent": n}, u, v) for n, (u, v) in enumerate(zip(lhs.coeffs, rhs.coeffs)))
 
 
 def _report(check, params, admissible, witness, t0):
@@ -157,7 +165,7 @@ def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     lhs = f(s + 1) * f(s - 1).compose_xp()
     rhs = f(s) * f(s).compose_xp()
     return _report("c2", {"p": p, "s": s, "K": K, "b_through": need - 1},
-                   admissible, _first_mismatch(lhs.coeffs, rhs.coeffs, p**s), t0)
+                   admissible, _first_mismatch(_series_cases(lhs, rhs), p**s), t0)
 
 
 def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=False):
@@ -183,7 +191,7 @@ def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=Fal
     lhs = f_full * f_full.compose_xp().invert()
     rhs = f_s * f_sm1.compose_xp().invert()
     return _report("c1", {"p": p, "s": s, "K": K, "N": N}, admissible,
-                   _first_mismatch(lhs.coeffs, rhs.coeffs, p**s), t0)
+                   _first_mismatch(_series_cases(lhs, rhs), p**s), t0)
 
 
 def check_digit_product(lam: LaurentPoly, p: int, N: int, b=None, force=False):
@@ -193,14 +201,8 @@ def check_digit_product(lam: LaurentPoly, p: int, N: int, b=None, force=False):
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
     bs = _prepare(lam, p, 1, b, N + 1)
-    witness = None
-    for n in range(N + 1):
-        prodd = 1
-        for d in digits_p(n, p):
-            prodd = prodd * bs[d] % p
-        if (bs[n] - prodd) % p:
-            witness = {"n": n, "lhs": bs[n] % p, "rhs": prodd}
-            break
+    witness = _first_mismatch((({"n": n}, bs[n], prod(bs[d] for d in digits_p(n, p)))
+                               for n in range(N + 1)), p)
     return _report("digit", {"p": p, "N": N}, admissible, witness, t0)
 
 
@@ -218,16 +220,9 @@ def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
     admissible = _admissible(lam, force)
     ps = p**s
     bs = _prepare(lam, p, K, b, n_max + m_max * ps + 1)
-    witness = None
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            lhs = bs[n + m * ps] * bs[n // p]
-            rhs = bs[n] * bs[n // p + m * p ** (s - 1)]
-            if (lhs - rhs) % ps:
-                witness = {"n": n, "m": m, "lhs": lhs % ps, "rhs": rhs % ps}
-                break
-        if witness:
-            break
+    witness = _first_mismatch((({"n": n, "m": m}, bs[n + m * ps] * bs[n // p],
+                                bs[n] * bs[n // p + m * p ** (s - 1)])
+                               for n in range(n_max + 1) for m in range(m_max + 1)), ps)
     return _report("dig2", {"p": p, "s": s, "n_max": n_max, "m_max": m_max, "K": K},
                    admissible, witness, t0)
 

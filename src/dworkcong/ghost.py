@@ -38,15 +38,7 @@ from .padic import PadicInt, _context_modulus
 
 def length_p(n: int, p: int) -> int:
     """Number of base-p digits of n, with length_p(0) = 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        return 1
-    k = 0
-    while n:
-        n //= p
-        k += 1
-    return k
+    return len(digits_p(n, p))
 
 
 def digits_p(n: int, p: int) -> tuple:
@@ -149,13 +141,10 @@ class GhostCalculator:
             if p is not None and p != lam.p:
                 raise ValueError(f"polynomial is over p={lam.p}, requested p={p}")
             p = lam.p
-            if K is not None:
-                lam = lam.reduce_mod(p, K)
-        else:
-            if p is None:
-                raise ValueError("exact-ring polynomial needs an explicit prime p")
-            if K is not None:
-                lam = lam.reduce_mod(p, K)
+        elif p is None:
+            raise ValueError("exact-ring polynomial needs an explicit prime p")
+        if K is not None:
+            lam = lam.reduce_mod(p, K)
         _context_modulus(p, 1)
         self.lam = lam
         self.p = p

@@ -21,8 +21,11 @@ fills an (n+1)**3 box -- else in L's echelon basis, inverted by the integer
 elimination of `polytope`.  Every walk starts from a power of its base, so
 its running power lies on one coset of L.
 
-Every power sequence -- `PowerCache.power`, `PowerCache.constant_terms` and
-`constant_term_sequence` -- is one walk of the running power, packed: a step
+Every power sequence -- `PowerCache.power`, `PowerCache.constant_terms`,
+`constant_term_sequence` and `**` of two or more terms (repeated
+multiplication by the base, the better chain when coefficients grow: W. M.
+Gentleman, Math. Comp. 26, 1972) -- is one walk of the running power; a
+monomial's power scales its exponent.  Mod m the walk is packed: a step
 is one shift-and-add per term of the base (one product with the packed base
 beyond SHIFT_ADD_TERMS terms), b_n is read from the origin's slot, slots are
 reduced only before they could overflow and a power is decoded only where a
@@ -31,7 +34,7 @@ Barrett reduction on the packed integer, two slots to a lane, for wider ones.
 Once no power is left to keep, a walk is trimmed at each reduction: with K
 steps to come, CT(cur * base**j), j <= K, reads cur only on the hull of the
 origin and -K.(base support), so the rows of the first box coordinate
-outside that hull are masked off or shifted out.  A walk or binary power
+outside that hull are masked off or shifted out.  A walk or monomial power
 estimated over WALK_BUDGET is refused with ValueError before it starts.  The
 dict multiply handles the rest -- exact coefficients and one-shot products
 with fewer term pairs than box slots -- and is the kernel's test oracle.
@@ -63,6 +66,14 @@ def _check_ring(p, K):
     return _context_modulus(p, K)
 
 
+def _canonical(items, m):
+    """The coefficient map of (exponent, coefficient) pairs: each coefficient
+    reduced mod m (kept as is when m is None), the zero ones dropped."""
+    if m is None:
+        return {e: c for e, c in items if c}
+    return {e: cm for e, c in items if (cm := c % m)}
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial.
 
@@ -78,26 +89,20 @@ class LaurentPoly:
         if not isinstance(arity, int) or arity < 1:
             raise ValueError(f"arity must be a positive integer, got {arity}")
         modulus = _check_ring(p, K)
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                e = tuple(e)
-                if len(e) != arity:
-                    raise ValueError(f"exponent {e} does not have arity {arity}")
-                if not all(isinstance(x, int) for x in e):
-                    raise ValueError(f"exponents must be integers, got {e}")
-                if not isinstance(c, int):
-                    raise ValueError(f"coefficients must be integers, got {c!r}")
-                if modulus is not None:
-                    c = c % modulus
-                if c:
-                    clean[e] = c
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "_lattice", None)
+        items = [(tuple(e), c) for e, c in (coeffs or {}).items()]
+        for e, c in items:
+            if len(e) != arity:
+                raise ValueError(f"exponent {e} does not have arity {arity}")
+            if not all(isinstance(x, int) for x in e):
+                raise ValueError(f"exponents must be integers, got {e}")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficients must be integers, got {c!r}")
+        self._set(arity, p, K, modulus, _canonical(items, modulus))
+
+    def _set(self, *values):
+        """Set arity, p, K, modulus and the coefficient map; no lattice yet."""
+        for name, value in zip(self.__slots__, values + (None,)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -144,12 +149,7 @@ class LaurentPoly:
     def _make(self, coeffs):
         # internal fast path: coeffs already canonical (no zeros, right arity)
         out = object.__new__(LaurentPoly)
-        object.__setattr__(out, "arity", self.arity)
-        object.__setattr__(out, "p", self.p)
-        object.__setattr__(out, "K", self.K)
-        object.__setattr__(out, "modulus", self.modulus)
-        object.__setattr__(out, "_coeffs", coeffs)
-        object.__setattr__(out, "_lattice", None)
+        out._set(self.arity, self.p, self.K, self.modulus, coeffs)
         return out
 
     def reduce_mod(self, p, K):
@@ -211,24 +211,15 @@ class LaurentPoly:
         other = self._coerce(other)
         self._same_ring(other)
         out = dict(self._coeffs)
-        m = self.modulus
         for e, c in other._coeffs.items():
-            v = out.get(e, 0) + c
-            if m is not None:
-                v %= m
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return self._make(out)
+            out[e] = out.get(e, 0) + c
+        return self._make(_canonical(out.items(), self.modulus))
 
     __radd__ = __add__
 
     def __neg__(self):
-        m = self.modulus
-        if m is None:
-            return self._make({e: -c for e, c in self._coeffs.items()})
-        return self._make({e: m - c for e, c in self._coeffs.items()})
+        return self._make(_canonical(((e, -c) for e, c in self._coeffs.items()),
+                                     self.modulus))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -271,24 +262,11 @@ class LaurentPoly:
                 for e1, c1 in a.items():
                     e = tuple(map(add, e1, e2))
                     out[e] = get(e, 0) + c1 * c2
-        m = self.modulus
-        if m is None:
-            out = {e: c for e, c in out.items() if c}
-        else:
-            out = {e: cm for e, c in out.items() if (cm := c % m)}
-        return self._make(out)
+        return self._make(_canonical(out.items(), self.modulus))
 
     def _scalar_mul(self, c):
-        m = self.modulus
-        if m is not None:
-            c %= m
-        if c == 0:
-            return self._make({})
-        if m is None:
-            return self._make({e: c * v for e, v in self._coeffs.items()})
-        return self._make(
-            {e: cm for e, v in self._coeffs.items() if (cm := c * v % m)}
-        )
+        return self._make(_canonical(((e, c * v) for e, v in self._coeffs.items()),
+                                     self.modulus))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -296,24 +274,19 @@ class LaurentPoly:
         return NotImplemented
 
     def __pow__(self, n):
-        """n-th power by binary powering; A**0 == 1.  Refused when the last
-        squaring's term pairs (times coefficient words) exceed WALK_BUDGET."""
+        """n-th power; A**0 == 1.  A polynomial of two or more terms is walked
+        (`PowerCache`), under the walk's estimate.  A monomial, or 0, scales
+        its exponent; its exact coefficient c**n is priced at words**log2(3)
+        slot-words, the Karatsuba cost of the squarings that form it."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if self:
-            work = prod(n // 2 * s + 1 for s in _spans(self)) ** 2
-            if self.modulus is None:
-                work *= _words((self, n))
-            _check_work(work, "power", "term pairs")
-        result = LaurentPoly.one(self.arity, p=self.p, K=self.K)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0 or len(self) > 1:  # 1, or the walk
+            return PowerCache(self).power(n)
+        m = self.modulus
+        if m is None:
+            _check_work(ceil(_words((self, n)) ** log2(3)), "power")
+        return self._make(_canonical(
+            [(tuple(n * x for x in e), pow(c, n, m)) for e, c in self._coeffs.items()], m))
 
     def substitute_power(self, m):
         """A(x_1**m, ..., x_d**m): every exponent vector scaled by m."""
@@ -540,7 +513,7 @@ def _spans(f):
 
 def _words(*powers):
     """64-bit words of prod sum|f|**n, bounding the product's coefficients."""
-    bits = sum(n * log2(sum(map(abs, f._coeffs.values()))) for f, n in powers)
+    bits = sum(n * log2(max(1, sum(map(abs, f._coeffs.values())))) for f, n in powers)
     return max(1, ceil(bits / 64))
 
 
@@ -689,7 +662,7 @@ def _walk(cur, base, steps):
     """The walk from cur by `steps` multiplications by base, packed when the
     kernel applies; refused (`_check_work`) before it allocates."""
     walk = _packed_walk(cur, base, steps)
-    if walk is None and cur and base:
+    if walk is None:  # an empty factor pays its steps' fixed cost
         box = prod(s + steps * b + 1 for s, b in zip(_spans(cur), _spans(base)))
         words = _words((cur, 1), (base, steps))  # of sum|cur| * sum|base|**steps
         _check_work(steps * (len(base) * box * words + 128))

@@ -50,6 +50,12 @@ def test_ct_n_zero(capsys):
     assert out == "1\n"
 
 
+def test_ct_zero_poly(capsys):
+    code, out, _ = run(capsys, "ct", "--poly", "0", "--N", "5")
+    assert code == 0
+    assert out == "1 0 0 0 0 0\n"
+
+
 def test_ct_modular(capsys):
     code, out, _ = run(capsys, "ct", "--poly", APERY, "--d", "2", "--N", "4",
                        "--p", "5", "--K", "1")
@@ -197,6 +203,10 @@ def test_check_ignores_unused_huge_s(argv, fmt):
     ["ct", "--N", "300"],  # exact, priced by its coefficients' 64-bit words
     ["ct", "--N", "600", "--p", "3", "--K", "40"],  # slot-steps fit, 128-bit slot-words do not
     ["ct", "--poly", "x1", "--d", "1", "--N", "100000000", "--p", "3", "--K", "1"],  # cost per step
+    # an empty base: every step still pays its fixed cost
+    ["ct", "--poly", "0", "--N", "100000000"],
+    ["ct", "--poly", "0", "--N", "100000000", "--p", "3", "--K", "2"],
+    ["ct", "--poly", "x1-x1", "--d", "1", "--N", "100000000"],
 ])
 def test_walks_over_budget_exit2_at_once(argv):
     # refused before the walk allocates anything (it used to end in a
@@ -220,18 +230,31 @@ def test_geometry_over_budget_exit2_at_once(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    # the parser's '^': binary powering priced by its last squaring
+    # the parser's '^' of two or more terms: a walk, priced in slot-words
     ["newton", "--poly", "(1+x1+x2)^3000", "--d", "2"],
     ["newton", "--poly", "(1+x1)^200000", "--d", "1"],
     ["newton", "--poly", "(x1+x1^-1)^100000", "--d", "1"],
     # the lemma's ghost layer: tuples times the box of each power
     ["check", "lemma", "--p", "2", "--nmax", "200"],
     ["check", "lemma", "--p", "2", "--nmax", "500"],
+    # a walk whose coefficients grow to 94 words
+    ["newton", "--poly", "(1+x1)^6000", "--d", "1"],
+    # a monomial: 3**30000000 priced by the Karatsuba squarings that form it
+    ["ct", "--poly", "(3*x1)^30000000", "--d", "1", "--N", "1"],
 ])
 def test_powers_and_ghost_layer_over_budget_exit2_at_once(argv):
     code, out, err = run_subprocess(*argv, timeout=5)
     assert (code, out) == (2, b"")
-    assert b"budget" in err and b"term pairs" in err and b"Traceback" not in err
+    unit = b"term pairs" if argv[:2] == ["check", "lemma"] else b"slot-words"
+    assert b"budget" in err and unit in err and b"Traceback" not in err
+
+
+@pytest.mark.parametrize("poly, out", [
+    ("x1^-99999999999999999999", b"1 0\n"),  # a monomial's exponent is scaled
+    ("(3*x1)^1000", b"1 0\n"),
+])
+def test_powers_within_budget_admitted(poly, out):
+    assert run_subprocess("ct", "--poly", poly, "--d", "1", "--N", "1") == (0, out, b"")
 
 
 @pytest.mark.parametrize("p", ["0", "1"])
@@ -248,6 +271,14 @@ def test_check_non_admissible_refused_exit2(capsys):
                          "--d", "1", "--p", "2")
     assert code == 2
     assert "admissib" in err or "interior" in err
+
+
+def test_non_admissible_refusal_lists_few_points():
+    # 199,999 interior points: the message names the first few and the count
+    code, out, err = run_subprocess("check", "c2", "--p", "3", "--poly",
+                                    "x1^100000+x1^-100000", "--d", "1")
+    assert (code, out) == (2, b"")
+    assert len(err) < 1024 and b"199999 interior points: (-99999,)" in err
 
 
 def test_check_non_admissible_forced_fails_exit1(capsys):
@@ -386,6 +417,15 @@ def test_output_to_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["results"][0]["b"] == [1, 3, 19, 147]
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_exit2(tmp_path, where):
+    # an OSError on --output is a usage error, not a failed check
+    target = tmp_path / "no" / "such" / "dir" / "x" if where == "missing" else tmp_path
+    code, out, err = run_subprocess("ct", "--N", "3", "--output", str(target))
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: ") and b"Traceback" not in err
 
 
 def test_structured_output_deterministic(capsys):

@@ -87,6 +87,18 @@ def test_scalar_multiplication():
 # -- powering -----------------------------------------------------------------
 
 
+def pow_oracle(f, n):
+    """f**n by binary powering over the term-by-term product, independent of
+    the walk that `**` and `PowerCache` share."""
+    result, base = LaurentPoly.one(f.arity, p=f.p, K=f.K), f
+    while n:
+        if n & 1:
+            result = result._mul_dict(base)
+        n >>= 1
+        base = base._mul_dict(base)
+    return result
+
+
 def test_pow_examples():
     lam = xpow(1) + xpow(-1)
     assert lam**0 == LaurentPoly.one(1)
@@ -101,6 +113,19 @@ def test_pow_additivity_random():
             continue
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         assert a ** (m + n) == a**m * a**n
+
+
+@pytest.mark.parametrize("ring", [None, (3, 2), (2, 70)])
+def test_pow_matches_binary_powering_oracle(ring):
+    # walks for two or more terms; a monomial (whose residue may vanish, as
+    # (3*x1)**2 mod 9) or 0 scales its exponent
+    rng = random.Random(5)
+    for nterms in (0, 1, 1, 2, 3, 5):
+        a = random_poly(rng, rng.choice([1, 2, 3]), nterms, ring)
+        for n in (0, 1, 2, 3, 7, 12):
+            assert a**n == pow_oracle(a, n), (a, n)
+    three = LaurentPoly(1, {(1,): 3}, p=3, K=2)
+    assert three**2 == LaurentPoly.zero(1, p=3, K=2)
 
 
 def test_product_matches_dense_oracle():
@@ -163,14 +188,14 @@ def test_power_cache_agrees_with_pow():
     cache.mark([4, 6])
     assert cache.constant_terms(8) == constant_term_sequence(lam, 8)
     for n in (0, 1, 4, 6, 7):
-        assert cache.power(n) == lam**n
+        assert cache.power(n) == pow_oracle(lam, n)
 
 
 def test_power_cache_out_of_order_requests():
     lam = xpow(1) + xpow(-1)
     cache = PowerCache(lam)
-    assert cache.power(10) == lam**10
-    assert cache.power(7) == lam**7  # behind the furthest point, still fine
+    assert cache.power(10) == pow_oracle(lam, 10)
+    assert cache.power(7) == pow_oracle(lam, 7)  # behind the furthest point, still fine
 
 
 # -- truncated series -----------------------------------------------------------
