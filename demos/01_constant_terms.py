@@ -44,4 +44,4 @@ assert big[: len(b)] == b
 cheb = parse_poly("x1 + x1^-1", 1)
 print()
 print("central binomial pattern:", constant_term_sequence(cheb, 8))
-print("same, reduced mod 3^2:   ", constant_term_sequence(cheb, 8, p=3, K=2))
+print("same, reduced mod 3^2:   ", constant_term_sequence(cheb.reduce_mod(3, 2), 8))

@@ -100,10 +100,10 @@ def _admissible(lam, force) -> bool:
     if not report.admissible and not force:
         points = list(report.interior_points)
         shown = ", ".join(map(str, points[:5])) + (", ..." if len(points) > 5 else "")
+        found = f"{len(points)} interior points: {shown}" if points else "no interior points"
         raise NotAdmissibleError(
             "the Newton polytope does not have the origin as its only interior "
-            f"integral point ({len(points)} interior points: {shown}); "
-            "pass force=True to run the check anyway"
+            f"integral point ({found}); pass force=True to run the check anyway"
         )
     return report.admissible
 
@@ -227,23 +227,24 @@ def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
                    admissible, witness, t0)
 
 
-def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
-                    b=None, force=False):
+# Digits of precision the lemma suite keeps beyond c_n's valuation ell(n)-1.
+GUARD = 2
+
+
+def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, b=None, force=False):
     """Cross-check the two c_n constructions and their consequences.
 
-    For every n <= n_max, at precision K = ell(n) - 1 + guard:
+    For every n <= n_max, at precision K = ell(n) - 1 + GUARD:
       * c_n from the ghost construction agrees with the partition-inversion
-        oracle (the guard makes the comparison non-vacuous);
+        oracle (the GUARD digits make the comparison non-vacuous);
       * c_n == 0 mod p**(ell(n)-1);
       * the partition identity rebuilds b_n from the direct c values.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    if guard < 1:
-        raise ValueError("guard must be >= 1")
     t0 = time.perf_counter()
     _context_modulus(p, 1)  # before base-p digits: p = 0 or 1 has none
-    K_max = length_p(n_max, p) - 1 + guard
+    K_max = length_p(n_max, p) - 1 + GUARD
     admissible = _admissible(lam, force)
     _check_ghost_work(lam, p, n_max)
     calc = GhostCalculator(lam, p=p, K=K_max)
@@ -256,7 +257,7 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
     witness = None
     for n in range(n_max + 1):
         ln = length_p(n, p)
-        pk = p ** (ln - 1 + guard)
+        pk = p ** (ln - 1 + GUARD)
         if (c_dir[n] - c_inv[n]) % pk:
             witness = {"n": n, "failure": "agreement",
                        "lhs": c_dir[n] % pk, "rhs": c_inv[n] % pk}
@@ -270,5 +271,5 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, guard: int = 2,
             witness = {"n": n, "failure": "reconstruction",
                        "lhs": rb, "rhs": bs[n] % modulus}
             break
-    return _report("lemma", {"p": p, "n_max": n_max, "guard": guard, "K": K_max},
+    return _report("lemma", {"p": p, "n_max": n_max, "guard": GUARD, "K": K_max},
                    admissible, witness, t0)

@@ -13,14 +13,17 @@ over tuples m with 0 <= m_i <= i.  Summing R[n, m] over the tuples that do
 not split into a concatenation of two valid tuples gives the polynomial
 I_n with I_n == 0 mod p**(ell(n)-1); its constant term is c_n.
 
-The same c_n can be recovered without any polynomial arithmetic by
-inverting the block-partition identity
+The same c_n can be recovered without any polynomial arithmetic from the
+block-partition identity
 
     b_n = sum over digit partitions n = n1 * n2 * ... * nr of c_{n1}...c_{nr}
 
-where '*' concatenates base-p digit strings.  `c_from_b` implements this
-inversion purely as an oracle: production values come from `c_direct`, and
-agreement of the two routes is the flagship consistency check.
+where '*' concatenates base-p digit strings.  One sum, over the partitions
+of two or more blocks, serves both directions: `reconstruct_b` adds it to
+c_n, and `c_from_b_sequence` subtracts it from b_n in order of n, every such
+block being below n.  `c_from_b` is purely an oracle: production values come
+from `c_direct`, and agreement of the two routes is the flagship
+consistency check.
 
 Conventions: c_0 = 1 (from I_0 = 1); a zero digit always forms its own
 length-1 block, the only reading compatible with ell(0) = 1.
@@ -238,10 +241,13 @@ class GhostCalculator:
         return constant_term_of_product(self._factors(n, m))
 
     def _indecomposable(self, n: int) -> list:
-        """The indecomposable tuples for n's digit count, enumerated once."""
+        """The indecomposable tuples for n's digit count, enumerated once.
+        In modular mode only those of weight |m| < K: R_s(F) == 0 mod p**s,
+        so a heavier product R[n, m] vanishes mod p**K."""
         k = length_p(n, self.p)
         if k not in self._tuples:
-            self._tuples[k] = enumerate_indecomposable(k)
+            self._tuples[k] = [m for m in enumerate_indecomposable(k)
+                               if self.K is None or sum(m) < self.K]
         return self._tuples[k]
 
     def indecomposable_sum(self, n: int) -> LaurentPoly:
@@ -254,17 +260,12 @@ class GhostCalculator:
         return total
 
     def c_direct(self, n: int) -> int:
-        """Constant term of I_n, without materializing the full polynomial.
-
-        In modular mode, tuples with |m| >= K are skipped: their products are
-        divisible by p**|m|, hence vanish mod p**K.
-        """
+        """Constant term of I_n, without materializing the full polynomial:
+        one constant term of a product per tuple of `indecomposable_sum`."""
         if n < 0:
             raise ValueError("n must be non-negative")
         total = 0
         for m in self._indecomposable(n):
-            if self.K is not None and sum(m) >= self.K:
-                continue
             total += self.tuple_product_constant_term(n, m)
         if self.K is not None:
             total %= self.lam.modulus
@@ -322,36 +323,30 @@ def c_direct(lam: LaurentPoly, n: int, p: int, K: int) -> PadicInt:
     return PadicInt(p, K, calc.c_direct(n))
 
 
+def _split_sum(c, n: int, p: int) -> int:
+    """b_n - c_n by the block-partition identity: the sum over the digit
+    partitions of n >= 1 into two or more blocks of prod c[block].  Every
+    such block is below n."""
+    return sum(prod(c[blk] for blk in blocks)
+               for blocks in digit_partitions(n, p) if len(blocks) > 1)
+
+
 def c_from_b_sequence(b, n_max: int, p: int, K: int) -> list:
     """Solve the block-partition identity for c_0..c_{n_max} given b.
 
-    c_0 = 1 by convention; for n >= 1,
+    c_0 = 1 by convention; for n >= 1, in order of n,
 
         c_n = b_n - sum over partitions with r >= 2 blocks of prod c_block.
 
-    Every proper block has strictly fewer digits than n, so the recursion
-    bottoms out.  Returned as plain residues mod p**K.
+    Returned as plain residues mod p**K.
     """
     modulus = _context_modulus(p, K)
     if len(b) <= n_max:
         raise ValueError(f"need b through index {n_max}, got {len(b)} values")
-    c = {0: 1}
-
-    def get(n):
-        got = c.get(n)
-        if got is None:
-            acc = b[n] % modulus
-            for blocks in digit_partitions(n, p):
-                if len(blocks) == 1:
-                    continue
-                term = 1
-                for blk in blocks:
-                    term = term * get(blk) % modulus
-                acc -= term
-            got = c[n] = acc % modulus
-        return got
-
-    return [get(n) for n in range(n_max + 1)]
+    c = [1]
+    for n in range(1, n_max + 1):
+        c.append((b[n] - _split_sum(c, n, p)) % modulus)
+    return c
 
 
 def c_from_b(b, n: int, p: int, K: int) -> PadicInt:
@@ -365,14 +360,5 @@ def reconstruct_b(c, n: int, p: int, modulus=None) -> int:
     `c` is indexed by block value; must cover every block of n.  Exact if
     modulus is None, else reduced mod modulus.
     """
-    if n == 0:
-        return c[0] % modulus if modulus else c[0]
-    total = 0
-    for blocks in digit_partitions(n, p):
-        term = 1
-        for blk in blocks:
-            term *= c[blk]
-            if modulus:
-                term %= modulus
-        total += term
+    total = c[n] + (_split_sum(c, n, p) if n else 0)
     return total % modulus if modulus else total

@@ -234,7 +234,8 @@ class LaurentPoly:
         # the shorter factor plays the base, whose length bounds the slots
         a, b = (self, other) if len(self) >= len(other) else (other, self)
         walk = _packed_walk(a, b, 1)
-        if walk is None:
+        if walk is None:  # priced as one step of a dict walk
+            _check_work(len(a) * len(b) * _words((a, 1), (b, 1)), "product")
             return self._mul_dict(other)
         walk.step()
         return walk.poly()
@@ -669,10 +670,10 @@ def _walk(cur, base, steps):
     return walk or _DictWalk(cur, base)
 
 
-def constant_term_sequence(lam: LaurentPoly, N: int, p=None, K=None) -> list:
-    """Constant terms b_0..b_N of the powers lam**0, lam**1, ..., lam**N.
+def constant_term_sequence(lam: LaurentPoly, N: int) -> list:
+    """Constant terms b_0..b_N of the powers lam**0, lam**1, ..., lam**N, in
+    lam's coefficient ring (`reduce_mod` first for residues mod p**K).
 
-    Computed in lam's coefficient ring, or mod p**K when (p, K) is given.
     Uses iterated multiplication (not binary powering): every intermediate
     power is needed anyway, and multiplying the running power by the fixed
     small factor is cheaper than repeated squaring of large supports.  It is
@@ -681,8 +682,6 @@ def constant_term_sequence(lam: LaurentPoly, N: int, p=None, K=None) -> list:
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a non-negative integer")
-    if p is not None:
-        lam = lam.reduce_mod(p, K)
     cache = PowerCache(lam)
     if N > 1:
         cache._sweep(1, N)

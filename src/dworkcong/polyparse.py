@@ -20,7 +20,8 @@ with a hint to write '*'.
 Errors are reported as ParseError carrying the byte offset of the offending
 token.  Nesting ('(' and unary '-') is bounded by MAX_DEPTH levels, so a
 deeply nested input is refused before the recursive descent exhausts the
-interpreter's stack.
+interpreter's stack.  The arity is bounded by MAX_ARITY: exponent tuples,
+hull and lattice eliminations all grow with it, and none of them is priced.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .laurent import LaurentPoly
 
 
 MAX_DEPTH = 100  # each '(' level costs four Python frames, each unary '-' one
+MAX_ARITY = 64  # variables; at 64, every command on x1+x1^-1 takes about 0.1 s
 
 
 class ParseError(ValueError):
@@ -223,8 +225,8 @@ class _Parser:
 
 def parse_poly(src: str, arity: int, p=None, K=None) -> LaurentPoly:
     """Parse `src` into a fully expanded canonical sparse polynomial."""
-    if not isinstance(arity, int) or arity < 1:
-        raise ValueError(f"arity must be a positive integer, got {arity}")
+    if not isinstance(arity, int) or not 1 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity}")
     tokens = _tokenize(src)
     if tokens[0][0] == "end":
         raise ParseError("empty expression", 0)

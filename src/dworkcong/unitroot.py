@@ -113,22 +113,16 @@ def omega_approx(b, p: int, z: PadicInt, s: int) -> PadicInt:
 # -- finite fields ------------------------------------------------------------
 
 
-def _fp_poly_divmod(num, den, p):
-    """Quotient/remainder of dense coefficient lists over F_p (den monic-ish)."""
-    num = list(num)
-    dn = len(den) - 1
-    inv_lead = pow(den[-1], -1, p)
-    quot = [0] * max(len(num) - dn, 0)
+def _fp_rem(num, den, p):
+    """Remainder of num by the monic den over F_p, dense lists constant
+    first: the len(den) - 1 coefficients below den's degree."""
+    num, dn = list(num), len(den) - 1
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i] % p
         if c:
-            q = c * inv_lead % p
-            quot[i - dn] = q
-            for j, dj in enumerate(den):
-                num[i - dn + j] = (num[i - dn + j] - q * dj) % p
-    while len(num) > 1 and num[-1] % p == 0:
-        num.pop()
-    return quot, [v % p for v in num]
+            for j, dj in enumerate(den, i - dn):
+                num[j] -= c * dj
+    return [v % p for v in num[:dn]]
 
 
 def _monic_polys(p, deg):
@@ -138,22 +132,16 @@ def _monic_polys(p, deg):
 
 
 def _is_irreducible(poly, p):
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            _, rem = _fp_poly_divmod(poly, cand, p)
-            if len(rem) == 1 and rem[0] == 0:
-                return False
-    return True
+    """Whether no monic polynomial of degree 1 .. deg/2 divides poly."""
+    return all(any(_fp_rem(poly, cand, p))
+               for d in range(1, (len(poly) - 1) // 2 + 1) for cand in _monic_polys(p, d))
 
 
 def smallest_irreducible(p: int, k: int) -> tuple:
     """Lower coefficients (constant first) of the first monic irreducible of
     degree k over F_p, in lexicographic order of the coefficient tuple."""
-    for lower in product(range(p), repeat=k):
-        if _is_irreducible(list(lower) + [1], p):
-            return tuple(lower)
-    raise ArithmeticError(f"no irreducible of degree {k} over F_{p}")  # unreachable
+    poly = next(f for f in _monic_polys(p, k) if _is_irreducible(f, p))
+    return tuple(poly[:-1])
 
 
 class FqField:
@@ -209,15 +197,7 @@ class FqField:
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] += ai * bj
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i] % p
-            if c:
-                base = i - k
-                for j, mj in enumerate(mod):
-                    if mj:
-                        conv[base + j] -= c * mj
-        return tuple(v % p for v in conv[:k])
+        return tuple(_fp_rem(conv, self.modulus + (1,), p))
 
     def pow(self, a, n: int):
         result = self.one
@@ -480,10 +460,5 @@ def unit_root_sweep(p: int, s: int, jobs: int = 1) -> list:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, [(p, t, s, b) for t in ts]))
+            return list(pool.map(functools.partial(unit_root_compare, p, s=s, b=b), ts))
     return [unit_root_compare(p, t, s, b=b) for t in ts]
-
-
-def _sweep_worker(args):
-    p, t, s, b = args
-    return unit_root_compare(p, t, s, b=b)

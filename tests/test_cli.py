@@ -241,6 +241,8 @@ def test_geometry_over_budget_exit2_at_once(argv):
     ["newton", "--poly", "(1+x1)^6000", "--d", "1"],
     # a monomial: 3**30000000 priced by the Karatsuba squarings that form it
     ["ct", "--poly", "(3*x1)^30000000", "--d", "1", "--N", "1"],
+    # a one-shot exact product: term pairs times its coefficients' words
+    ["ct", "--poly", "(1+x1+x2)^160*(1+x1+x2)^160", "--d", "2", "--N", "1"],
 ])
 def test_powers_and_ghost_layer_over_budget_exit2_at_once(argv):
     code, out, err = run_subprocess(*argv, timeout=5)
@@ -255,6 +257,24 @@ def test_powers_and_ghost_layer_over_budget_exit2_at_once(argv):
 ])
 def test_powers_within_budget_admitted(poly, out):
     assert run_subprocess("ct", "--poly", poly, "--d", "1", "--N", "1") == (0, out, b"")
+
+
+def test_product_within_budget_admitted():
+    # 4.4e7 slot-words, about 5 s on a 2-core x86-64 host
+    assert run_subprocess("ct", "--poly", "(1+x1+x2)^80*(1+x1+x2)^80", "--d", "2",
+                          "--N", "1", timeout=60) == (0, b"1 1\n", b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ["newton", "--poly", "x1+x1^-1", "--d", "100000"],  # affine-hull kernel
+    ["check", "c2", "--p", "3", "--poly", "x1+x1^-1", "--d", "100000"],  # admissibility
+    ["ct", "--poly", "x1+x1^-1", "--d", "400", "--N", "3", "--p", "3", "--K", "1"],  # lattice
+])
+def test_arity_over_bound_exit2_at_once(argv):
+    code, out, err = run_subprocess(*argv, timeout=5)
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: arity must be an integer in 1..64")
+    assert b"Traceback" not in err
 
 
 @pytest.mark.parametrize("p", ["0", "1"])
@@ -279,6 +299,10 @@ def test_non_admissible_refusal_lists_few_points():
                                     "x1^100000+x1^-100000", "--d", "1")
     assert (code, out) == (2, b"")
     assert len(err) < 1024 and b"199999 interior points: (-99999,)" in err
+    for poly in ("1", "x1"):  # a point: nothing is interior
+        code, out, err = run_subprocess("check", "c2", "--p", "3", "--poly", poly, "--d", "1")
+        assert (code, out) == (2, b"")
+        assert b"integral point (no interior points); pass" in err
 
 
 def test_check_non_admissible_forced_fails_exit1(capsys):

@@ -220,6 +220,20 @@ def test_indecomposable_sum_divisibility():
         assert all(c % pk == 0 for _, c in I.terms()), n
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_indecomposable_sum_drops_only_vanishing_tuples(p):
+    # mod p**3 the calculator leaves out the tuples of weight >= 3; the sum
+    # over every indecomposable tuple, taken exactly, reduces to the same
+    K = 3
+    exact, calc = GhostCalculator(apery(), p=p), GhostCalculator(apery(), p=p, K=K)
+    for n in range(p**3):
+        full = LaurentPoly.zero(2)
+        for m in enumerate_indecomposable(length_p(n, p)):
+            full = full + exact.tuple_product(n, m)
+        assert calc.indecomposable_sum(n) == full.reduce_mod(p, K), (p, n)
+    assert any(sum(m) >= K for m in enumerate_indecomposable(3))  # one is left out
+
+
 @pytest.mark.parametrize("p,n_top", [(2, 13), (3, 10)])
 def test_splitting_identity(p, n_top):
     """Lam**n equals the sum over digit partitions of shifted I-products."""

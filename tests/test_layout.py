@@ -29,3 +29,33 @@ def test_imports_are_relative_or_stdlib(path):
 
 def test_the_package_is_found():
     assert SOURCES  # an empty glob would pass the test above vacuously
+
+
+# The public API: every name `dworkcong/__init__.py` exports.
+EXPORTED = """
+    APERY_POLY_SRC AdmissibilityReport CongruenceReport FqField GhostCalculator
+    LatticePolytope LaurentPoly NotAdmissibleError PadicInt ParseError PlaneCubic
+    PowerCache TruncSeries ZetaReport __version__ a_p apery_fiber apery_numbers
+    apery_numbers_mod apery_polynomial c_direct c_from_b c_from_b_sequence check_c1
+    check_c2 check_dig2 check_digit_product concat_p constant_term_of_product
+    constant_term_sequence count_projective_points digit_partitions digits_p
+    dwork_domain_test enumerate_indecomposable enumerate_tuples f_trunc
+    finite_field ghost_decomposition_residual ghost_term hensel_quadratic_unit_root
+    indecomposable_sum is_admissible is_indecomposable is_prime is_smooth_cubic
+    length_p newton_polytope omega_approx parse_poly reconstruct_b run_lemma_suite
+    smallest_irreducible teichmuller tuple_ghost_product unit_root_compare
+    unit_root_sweep
+""".split()
+
+
+def test_exported_names_are_pinned():
+    init = SOURCES[0].parent / "__init__.py"
+    names = []
+    for node in ast.parse(init.read_text(), str(init)).body:
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets]
+    assert sorted(names) == sorted(EXPORTED)
+    import dworkcong
+    assert all(hasattr(dworkcong, name) for name in EXPORTED)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dworkcong.laurent import LaurentPoly
-from dworkcong.polyparse import MAX_DEPTH, ParseError, parse_poly
+from dworkcong.polyparse import MAX_ARITY, MAX_DEPTH, ParseError, parse_poly
 
 APERY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 
@@ -124,6 +124,13 @@ def test_nesting_depth_bounded():
     assert err.value.position == MAX_DEPTH  # the 101st opener
     with pytest.raises(ParseError):
         parse_poly("(" * 3000 + "x1" + ")" * 3000, 1)
+
+
+def test_arity_bounded():
+    assert parse_poly(f"x{MAX_ARITY}", MAX_ARITY).arity == MAX_ARITY
+    for arity in (0, MAX_ARITY + 1, 10**6):
+        with pytest.raises(ValueError, match=f"arity must be an integer in 1..{MAX_ARITY}"):
+            parse_poly("x1", arity)
 
 
 def test_whitespace_insensitivity():
