@@ -34,7 +34,6 @@ from math import prod
 
 from .ghost import (
     GhostCalculator,
-    _check_ghost_work,
     c_from_b_sequence,
     digits_p,
     length_p,
@@ -246,8 +245,8 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, b=None, force=False):
     _context_modulus(p, 1)  # before base-p digits: p = 0 or 1 has none
     K_max = length_p(n_max, p) - 1 + GUARD
     admissible = _admissible(lam, force)
-    _check_ghost_work(lam, p, n_max)
     calc = GhostCalculator(lam, p=p, K=K_max)
+    calc.check_work(n_max)
     # sharing the calculator's power cache: the constant-term pass also
     # fills the ghost checkpoints, so everything costs one sweep
     bs = _prepare(lam, p, K_max, b, n_max + 1, calc.constant_terms)

@@ -13,6 +13,21 @@ over tuples m with 0 <= m_i <= i.  Summing R[n, m] over the tuples that do
 not split into a concatenation of two valid tuples gives the polynomial
 I_n with I_n == 0 mod p**(ell(n)-1); its constant term is c_n.
 
+`c_direct` never forms R[n, m].  The Cartier operator U_p keeps the terms
+of A with every exponent in pZ^d and divides their exponents by p, and
+
+    CT(A(x) * B(x**p)) = CT(U_p(A)(x) * B(x))
+
+(Dwork theory; Beukers and Vlasenko, "Dwork crystals I").  Group the
+factors of R[n, m] by their level j = i - m_i, G_j being the product of the
+unshifted R_{m_i}(Lam**n_i) at level j, so R[n, m] = prod_j G_j(x**(p**j)).
+Then CT(R[n, m]) is a fold: the state S_0 = U_p(G_0), S_j = U_p(S_{j-1} G_j)
+for each level below the top J, and one constant term CT(S_{J-1} G_J) at
+the top; a level without factors still applies U_p.  Each U_p shrinks the
+state by about p in every coordinate.  A state depends only on the factors
+at or below its level, so a calculator memoizes it on its level and those
+(level, m_i, n_i): tuples and n that agree up to a level share its state.
+
 The same c_n can be recovered without any polynomial arithmetic from the
 block-partition identity
 
@@ -31,11 +46,10 @@ length-1 block, the only reading compatible with ell(0) = 1.
 
 from __future__ import annotations
 
-from itertools import product
-from math import factorial, prod
+from math import prod
 
-from .laurent import (WALK_BUDGET, LaurentPoly, PowerCache, _check_work, _spans,
-                      constant_term_of_product)
+from .laurent import (WALK_BUDGET, LaurentPoly, PowerCache, _check_work, _slot,
+                      _spans, cartier_of_product, constant_term_of_product)
 from .padic import PadicInt, _context_modulus
 
 
@@ -102,11 +116,16 @@ def is_valid_tuple(m) -> bool:
     return all(isinstance(v, int) and 0 <= v <= i for i, v in enumerate(m))
 
 
-def enumerate_tuples(k: int):
-    """All of S_k (there are k! of them), in lexicographic order."""
+def enumerate_tuples(k: int, below=None):
+    """All of S_k (there are k! of them), or those of weight |m| < below, in
+    lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [m for m in product(*(range(i + 1) for i in range(k)))]
+    out = [()]
+    for i in range(k):
+        out = [m + (v,) for m in out for v in range(i + 1)
+               if below is None or sum(m) + v < below]
+    return out
 
 
 def is_indecomposable(m) -> bool:
@@ -128,6 +147,11 @@ def enumerate_indecomposable(k: int):
 
 # -- ghost calculator ---------------------------------------------------------
 
+# Walk slot-words per slot-word of a fold product: a product of two large
+# packed operands and its decoding took 34 to 90 ns per slot-word of its box
+# (check lemma at p = 2, 3, 5 on a 2-core x86-64 host), a walk step 20 to 24.
+FOLD_COST = 4
+
 
 class GhostCalculator:
     """Ghost-term machinery for one polynomial in one coefficient ring.
@@ -135,8 +159,9 @@ class GhostCalculator:
     All powers of the base polynomial are computed in a single ascending
     sweep that stashes only the checkpoints a*p**s actually used by ghost
     terms (and records every constant term along the way, so b-sequences are
-    a byproduct).  Ghost factors R_s(Lam**digit) and their x -> x**(p**j)
-    shifts are memoized: digits repeat heavily across different n.
+    a byproduct).  Ghost terms R_s(Lam**digit), their x -> x**(p**j) shifts
+    (for the per-tuple products) and the fold's states are memoized: digits
+    repeat heavily across different n.
     """
 
     def __init__(self, lam: LaurentPoly, p=None, K=None):
@@ -157,6 +182,7 @@ class GhostCalculator:
         self._ghost = {}
         self._shifted = {}
         self._tuples = {}  # length k -> the indecomposable tuples of S_k
+        self._states = {}  # (level, factors at or below it) -> folded state
 
     def _mark_level(self, level: int):
         """Mark the powers Lam**(a * p**s), digit a, s < level, as worth keeping.
@@ -246,9 +272,38 @@ class GhostCalculator:
         so a heavier product R[n, m] vanishes mod p**K."""
         k = length_p(n, self.p)
         if k not in self._tuples:
-            self._tuples[k] = [m for m in enumerate_indecomposable(k)
-                               if self.K is None or sum(m) < self.K]
+            self._tuples[k] = [m for m in enumerate_tuples(k, self.K) if is_indecomposable(m)]
         return self._tuples[k]
+
+    def check_work(self, n_max: int):
+        """Refuse c_n for every n <= n_max, mod p**K, when the fold's
+        estimated slot-words are over laurent's WALK_BUDGET, before any ghost
+        work.  For the n of k digits, each tuple c_direct reads is priced at
+        digits p - 1: every level product is its box, the state's plus its
+        factors', in words of its slot width.  A product below the top is
+        counted once per set of operands (the states are memoized: at most
+        p**f of them for f factors at or below its level, and at most one
+        per n); the top, once per n.  The sum stops once over the budget."""
+        p, m = self.p, self.lam.modulus
+        spans, work, k = _spans(self.lam), 0, 1
+        while work <= WALK_BUDGET and p ** (k - 1) <= n_max:
+            count = min(p**k - 1, n_max) - (p ** (k - 1) if k > 1 else 0) + 1
+            for t in self._indecomposable(p ** (k - 1)):
+                levels = [i - s for i, s in enumerate(t)]
+                state, seen, top = [0] * len(spans), 0, max(levels)
+                for j in range(top + 1):
+                    box = list(state)
+                    for level, s in zip(levels, t):
+                        if level == j:
+                            box = [b + (p - 1) * p**s * x for b, x in zip(box, spans)]
+                            seen += 1
+                    slots = prod(b + 1 for b in box)
+                    times = count if j == top else min(count, p**seen)
+                    words = -(-_slot((m - 1) ** 2 * slots) // 64)
+                    work += FOLD_COST * times * slots * words
+                    state = [b // p for b in box]
+            k += 1
+        _check_work(work, "ghost layer")
 
     def indecomposable_sum(self, n: int) -> LaurentPoly:
         """I_n: the sum of R[n, m] over indecomposable m; I_0 = 1."""
@@ -260,30 +315,42 @@ class GhostCalculator:
         return total
 
     def c_direct(self, n: int) -> int:
-        """Constant term of I_n, without materializing the full polynomial:
-        one constant term of a product per tuple of `indecomposable_sum`."""
+        """Constant term of I_n, without materializing any tuple product:
+        each tuple of `indecomposable_sum` is folded level by level (module
+        docstring).  Factor i of R[n, m] sits at level i - m_i; a zero digit
+        gives R_0(Lam**0) = 1, which drops out, or R_s(Lam**0) = 0, s >= 1,
+        which drops the tuple."""
         if n < 0:
             raise ValueError("n must be non-negative")
+        ds = digits_p(n, self.p)
         total = 0
         for m in self._indecomposable(n):
-            total += self.tuple_product_constant_term(n, m)
+            factors = tuple(sorted((i - s, s, a) for i, (s, a) in enumerate(zip(m, ds))
+                                   if a or s))  # (level, s, digit)
+            if not factors:  # n = 0: I_0 = 1
+                total += 1
+            elif all(a for _, _, a in factors):
+                total += constant_term_of_product(self._operands(factors[-1][0], factors))
         if self.K is not None:
             total %= self.lam.modulus
         return total
 
+    def _operands(self, level, factors):
+        """The ghost terms of the (level, s, digit) factors at `level`, and
+        the state of those below it, if any."""
+        below = tuple(f for f in factors if f[0] < level)
+        out = [self.ghost_term(s, a) for j, s, a in factors if j == level]
+        return out + [self._state(level - 1, below)] if below else out
 
-def _check_ghost_work(lam: LaurentPoly, p: int, n_max: int):
-    """Refuse c_n for every n <= n_max, p prime, when its estimated term
-    pairs exceed laurent's WALK_BUDGET.  For n of k digits, c_direct examines
-    the k! tuples of S_k, and each product lies in the box of Lam**n: the
-    estimate sums k! times that box, at the largest such n, over the n of
-    each k, and stops once it is over the budget."""
-    spans, work, k = _spans(lam), 0, 1
-    while work <= WALK_BUDGET and p ** (k - 1) <= n_max:
-        top, low = min(p**k - 1, n_max), p ** (k - 1) if k > 1 else 0
-        work += factorial(k) * (top - low + 1) * prod(top * s + 1 for s in spans)
-        k += 1
-    _check_work(work, "ghost layer", "term pairs")
+    def _state(self, level, factors) -> LaurentPoly:
+        """U_p of (the product of the factors at `level` times the state
+        below), the factors all at or below `level`; memoized on both."""
+        key = (level, factors)
+        got = self._states.get(key)
+        if got is None:
+            got = cartier_of_product(self._operands(level, factors), self.p)
+            self._states[key] = got
+        return got
 
 
 # -- spec-level convenience wrappers ------------------------------------------

@@ -234,9 +234,9 @@ def test_geometry_over_budget_exit2_at_once(argv):
     ["newton", "--poly", "(1+x1+x2)^3000", "--d", "2"],
     ["newton", "--poly", "(1+x1)^200000", "--d", "1"],
     ["newton", "--poly", "(x1+x1^-1)^100000", "--d", "1"],
-    # the lemma's ghost layer: tuples times the box of each power
-    ["check", "lemma", "--p", "2", "--nmax", "200"],
+    # the lemma's ghost layer: the slot-words of its level products
     ["check", "lemma", "--p", "2", "--nmax", "500"],
+    ["check", "lemma", "--p", "5", "--nmax", "3124"],
     # a walk whose coefficients grow to 94 words
     ["newton", "--poly", "(1+x1)^6000", "--d", "1"],
     # a monomial: 3**30000000 priced by the Karatsuba squarings that form it
@@ -247,8 +247,7 @@ def test_geometry_over_budget_exit2_at_once(argv):
 def test_powers_and_ghost_layer_over_budget_exit2_at_once(argv):
     code, out, err = run_subprocess(*argv, timeout=5)
     assert (code, out) == (2, b"")
-    unit = b"term pairs" if argv[:2] == ["check", "lemma"] else b"slot-words"
-    assert b"budget" in err and unit in err and b"Traceback" not in err
+    assert b"budget" in err and b"slot-words" in err and b"Traceback" not in err
 
 
 @pytest.mark.parametrize("poly, out", [
@@ -257,6 +256,25 @@ def test_powers_and_ghost_layer_over_budget_exit2_at_once(argv):
 ])
 def test_powers_within_budget_admitted(poly, out):
     assert run_subprocess("ct", "--poly", poly, "--d", "1", "--N", "1") == (0, out, b"")
+
+
+@pytest.mark.oracle
+def test_growing_dict_walk_priced_step_by_step():
+    # 5.1e8 slot-words summed step by step, about 2 s; priced at its last
+    # step's box and coefficient words it was 1.5e9, and refused
+    code, out, err = run_subprocess("ct", "--poly", "(7*x1+x1^-1)^2000", "--d", "1",
+                                    "--N", "1", timeout=60)
+    assert (code, out[:2], err) == (0, b"1 ", b"")
+
+
+@pytest.mark.oracle
+def test_lemma_scale_probe_admitted():
+    # the fold prices p = 3 to 242 at 8.9e7 slot-words; about 2 s on a
+    # 2-core x86-64 host (it was refused at 4.6e9 term pairs per tuple)
+    code, out, err = run_subprocess("check", "lemma", "--p", "3", "--nmax", "242",
+                                    timeout=120)
+    assert (code, err) == (0, b"")
+    assert out.startswith(b"check lemma p=3 n_max=242 guard=2 K=6: PASS")
 
 
 def test_product_within_budget_admitted():

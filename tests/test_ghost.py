@@ -4,10 +4,9 @@ import random
 import pytest
 
 from dworkcong import ghost
-from dworkcong.congruence import run_lemma_suite
+from dworkcong.congruence import GUARD, run_lemma_suite
 from dworkcong.ghost import (
     GhostCalculator,
-    _check_ghost_work,
     c_direct,
     c_from_b,
     c_from_b_sequence,
@@ -125,14 +124,23 @@ def test_invalid_tuple_rejected():
 
 
 def test_indecomposable_tuples_enumerated_once_per_length(monkeypatch):
-    # c_n for n <= 63 at p = 2 reads S_1..S_6: each tuple is tested once,
-    # not once for every n with its number of digits
+    # c_n for n <= 63 at p = 2, mod 2**7, reads the tuples of S_1..S_6 of
+    # weight below 7: each is tested once, by the work estimate and c_direct
+    # together, not once for every n with its number of digits
     tested, test = [], ghost.is_indecomposable
     monkeypatch.setattr(ghost, "is_indecomposable",
                         lambda m: tested.append(m) or test(m))
     assert run_lemma_suite(apery(), 2, 63).passed
-    assert len(tested) == sum(math.factorial(k) for k in range(1, 7))
+    assert sorted(tested) == sorted(m for k in range(1, 7) for m in enumerate_tuples(k)
+                                    if sum(m) < 7)
     assert enumerate_indecomposable(2) is not enumerate_indecomposable(2)  # fresh lists
+
+
+def test_tuples_below_a_weight():
+    for k in range(1, 7):
+        every = enumerate_tuples(k)
+        for below in (0, 1, k, k + 1, 100):
+            assert enumerate_tuples(k, below) == [m for m in every if sum(m) < below]
 
 
 # -- ghost terms --------------------------------------------------------------------
@@ -332,13 +340,63 @@ def test_reconstruct_b_apery_end_to_end():
     assert reconstruct_b(c, 10, 3, modulus=3**K) == b[10] % 3**K
 
 
+def lemma_calculator(lam, p, n_max):
+    return GhostCalculator(lam, p=p, K=length_p(n_max, p) - 1 + GUARD)  # the lemma's K
+
+
 def test_ghost_work_budget():
-    # admitted: the bench's and criterion 05's lemma runs, and p = 2 to 63;
-    # refused: p = 2 to 100 and p = 3 to 242 (about 6 s and 64 s of work on a
-    # 2-core x86-64 host)
+    # admitted: the bench's and criterion 05's lemma runs, p = 2 to 200 and
+    # the scale probe p = 3 to 242 (about 2 s each on a 2-core x86-64 host);
+    # refused: p = 2 to 500 (about 1.3e9 slot-words) and p = 2 to 10**4000
     lam = apery()
-    for p, n_max in [(2, 15), (2, 63), (3, 50), (3, 80), (5, 124)]:
-        _check_ghost_work(lam, p, n_max)
-    for p, n_max in [(2, 100), (3, 242), (2, 10**4000)]:
-        with pytest.raises(ValueError, match="ghost layer .* term pairs; budget"):
-            _check_ghost_work(lam, p, n_max)
+    for p, n_max in [(2, 15), (2, 63), (3, 50), (3, 80), (5, 124), (2, 100),
+                     (2, 200), (3, 242)]:
+        lemma_calculator(lam, p, n_max).check_work(n_max)
+    for p, n_max in [(2, 500), (2, 10**4000)]:
+        with pytest.raises(ValueError, match="ghost layer .* slot-words; budget"):
+            lemma_calculator(lam, p, n_max).check_work(n_max)
+
+
+def per_tuple_c(calc, n):
+    """The oracle: c_n as one constant term of a product per tuple, each
+    factor shifted by `substitute_power`."""
+    total = sum(calc.tuple_product_constant_term(n, m) for m in calc._indecomposable(n))
+    return total % calc.lam.modulus
+
+
+FOLD_POLYS = [(APERY_SRC, 2), ("x1+x1^-1", 1), ("x1+x2+x1^-1*x2^-1", 2),
+              ("x1+x2+x3+x1^-1*x2^-1*x3^-1", 3)]  # the last on an index-4 lattice
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("src,d", FOLD_POLYS)
+def test_fold_matches_per_tuple_oracle(src, d, p):
+    lam = parse_poly(src, d)
+    ns = range(p**3)
+    calc = GhostCalculator(lam, p=p, K=5)
+    oracle = [per_tuple_c(calc, n) for n in ns]
+    ascending = GhostCalculator(lam, p=p, K=5)
+    assert [ascending.c_direct(n) for n in ns] == oracle, (src, p)
+    # the memo serves n in any order: asked backwards, a fresh calculator
+    # folds the long tuples first and reuses their states for shorter ones
+    descending = GhostCalculator(lam, p=p, K=5)
+    assert [descending.c_direct(n) for n in reversed(ns)] == oracle[::-1], (src, p)
+    assert ascending._states.keys() == descending._states.keys()
+
+
+def test_fold_states_are_keyed_by_level():
+    # n = 40 = (1, 1, 1, 1) in base 3 with m = (0, 1, 0, 3) has factors at
+    # levels 0, 0, 2, 0: level 1 holds none, so the states U_3(G_0) and
+    # U_3(U_3(G_0)) below the top have the same factors and differ only in
+    # their level
+    calc = GhostCalculator(apery(), p=3, K=5)
+    assert (0, 1, 0, 3) in calc._indecomposable(40)
+    for n in (40, 13, 40, 80):
+        assert calc.c_direct(n) == per_tuple_c(calc, n), n
+    below = [(0, 0, 1), (0, 1, 1), (0, 3, 1)]  # (level, s, digit), sorted
+    low, high = calc._states[0, tuple(below)], calc._states[1, tuple(below)]
+    assert low != high
+    for (level, factors), state in calc._states.items():
+        assert factors and all(f[0] <= level for f in factors)
+        assert isinstance(state, LaurentPoly)

@@ -30,6 +30,7 @@ from dworkcong.laurent import (
     _reducer,
     _slot,
     _slots,
+    cartier_of_product,
     constant_term_of_product,
     constant_term_sequence,
 )
@@ -539,3 +540,73 @@ def test_constant_term_of_product(ring, arity):
     zero = LaurentPoly.zero(arity, p=p, K=K)
     assert constant_term_of_product([rand(2, 5), zero, rand(2, 30)]) == 0
     assert constant_term_of_product([rand(2, 5), rand(2, 6), zero]) == 0
+
+
+# -- the Cartier operator ---------------------------------------------------------
+
+
+def cartier_oracle(factors):
+    """U_p of the dict product: its terms on pZ^d, exponents divided by p."""
+    product = factors[0]
+    for f in factors[1:]:
+        product = product._mul_dict(f)
+    return product
+
+
+def dict_cartier(f, p):
+    return LaurentPoly(f.arity, {tuple(x // p for x in e): c for e, c in f.terms()
+                                 if not any(x % p for x in e)}, p=f.p, K=f.K)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_cartier_of_product_matches_dict_oracle(monkeypatch, p, arity):
+    rng = random.Random(100 * p + arity)
+    routes = []
+    monkeypatch.setattr(laurent, "_cartier_dict",
+                        lambda fs, q, dict_route=laurent._cartier_dict:
+                        routes.append("dict") or dict_route(fs, q))
+
+    def rand(K, radius, count):
+        exps = [tuple(rng.randint(-radius, radius) for _ in range(arity))
+                for _ in range(count)]
+        return LaurentPoly(arity, {e: rng.randrange(1, p**K) for e in exps}, p=p, K=K)
+
+    for K in range(1, 7):
+        radius = 4 if arity < 3 else 2
+        sparse = [rand(K, 10**4, 3), rand(K, 10**4, 4)]  # the dict route
+        dense = [dense_poly(rng, arity, radius, p, K), dense_poly(rng, arity, 1, p, K)]
+        cases = [[dense_poly(rng, arity, radius, p, K)], dense,
+                 [dense_poly(rng, arity, 1, p, K), rand(K, radius, 12),
+                  dense_poly(rng, arity, radius, p, K)],
+                 sparse,
+                 [rand(K, radius, 6), LaurentPoly.zero(arity, p=p, K=K)]]
+        for factors in cases:
+            calls = len(routes)
+            got = cartier_of_product(factors, p)
+            assert got == dict_cartier(cartier_oracle(factors), p), (K, factors)
+            if factors is sparse or factors is dense:
+                assert (len(routes) > calls) == (factors is sparse)
+            # a packed result carries its slots; a product with it reads them
+            other = dense_poly(rng, arity, 1, p, K)
+            again = cartier_of_product([got, other], p)
+            fresh = LaurentPoly(arity, dict(got.terms()), p=p, K=K)
+            assert again == cartier_of_product([fresh, other], p)
+            assert again == dict_cartier(cartier_oracle([fresh, other]), p)
+
+
+@pytest.mark.parametrize("ring", [(None, None), (2, 5), (3, 4), (5, 2)])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_cartier_identity(ring, arity):
+    # CT(A(x) * B(x**p)) == CT(U_p(A) * B), exactly and mod p**K
+    p, K = ring
+    q = p or 3
+    rng = random.Random(7 * arity + q)
+    for _ in range(10):
+        A = LaurentPoly(arity, {tuple(rng.randint(-8, 8) for _ in range(arity)):
+                                rng.randint(-50, 50) for _ in range(40)}, p=p, K=K)
+        B = LaurentPoly(arity, {tuple(rng.randint(-3, 3) for _ in range(arity)):
+                                rng.randint(-50, 50) for _ in range(10)}, p=p, K=K)
+        lhs = (A._mul_dict(B.substitute_power(q))).constant_term()
+        assert constant_term_of_product([cartier_of_product([A], q), B]) == lhs
+        assert cartier_of_product([A], q) == dict_cartier(A, q)
