@@ -246,7 +246,7 @@ def run_lemma_suite(lam: LaurentPoly, p: int, n_max: int, b=None, force=False):
     K_max = length_p(n_max, p) - 1 + GUARD
     admissible = _admissible(lam, force)
     calc = GhostCalculator(lam, p=p, K=K_max)
-    calc.check_work(n_max)
+    calc._check_fold_work(n_max)
     # sharing the calculator's power cache: the constant-term pass also
     # fills the ghost checkpoints, so everything costs one sweep
     bs = _prepare(lam, p, K_max, b, n_max + 1, calc.constant_terms)

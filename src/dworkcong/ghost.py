@@ -275,7 +275,7 @@ class GhostCalculator:
             self._tuples[k] = [m for m in enumerate_tuples(k, self.K) if is_indecomposable(m)]
         return self._tuples[k]
 
-    def check_work(self, n_max: int):
+    def _check_fold_work(self, n_max: int):
         """Refuse c_n for every n <= n_max, mod p**K, when the fold's
         estimated slot-words are over laurent's WALK_BUDGET, before any ghost
         work.  For the n of k digits, each tuple c_direct reads is priced at
@@ -284,6 +284,8 @@ class GhostCalculator:
         counted once per set of operands (the states are memoized: at most
         p**f of them for f factors at or below its level, and at most one
         per n); the top, once per n.  The sum stops once over the budget."""
+        if self.K is None:
+            raise ValueError("the ghost layer is priced mod p**K only")
         p, m = self.p, self.lam.modulus
         spans, work, k = _spans(self.lam), 0, 1
         while work <= WALK_BUDGET and p ** (k - 1) <= n_max:

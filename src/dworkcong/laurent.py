@@ -42,7 +42,7 @@ with fewer term pairs than box slots -- and is the kernel's test oracle.
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
 Z^d of which only the slots on pZ^d are decoded.  Each factor is packed
-once and cached with it, as is the result.
+once per slot width and cached with it, as is the result.
 
 Also provided: truncated power series with coefficients mod p**K, supporting
 multiplication (the same kernel in one variable), substitution X -> X**p and
@@ -241,7 +241,8 @@ class LaurentPoly:
         a, b = (self, other) if len(self) >= len(other) else (other, self)
         walk = _packed_walk(a, b, 1)
         if walk is None:  # priced as one step of a dict walk
-            _check_work(len(a) * len(b) * _words((a, 1), (b, 1)), "product")
+            _check_work(len(a) * len(b) * (_words((a, 1), (b, 1)) + DICT_PAIR),
+                        "product")
             return self._mul_dict(other)
         walk.step()
         return walk.poly()
@@ -501,13 +502,17 @@ def _frame(poly, lat):
 
 SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
 # Slot-words: a step of a packed walk counts its box slots times ceil(bits/64),
-# one of a dict walk len(base) term pairs per box slot times the 64-bit words
-# of its largest coefficient, and each step 128 more for its fixed cost (about
-# 3 us).  On a 2-core x86-64 host: 24 ns each for a 16-bit Apery walk (24 s at
-# the bound), 20 to 23 ns for slots of 128 to 448 bits, 2 ns for an 8-bit
-# sublattice walk, and 120 to 200 ns for exact Apery walks to N = 60 and 150
-# (1 and 3 words).
+# one of a dict walk len(base) term pairs per box slot times DICT_PAIR plus the
+# 64-bit words of its largest coefficient, and each step 128 more for its fixed
+# cost (about 3 us).  On a 2-core x86-64 host: 24 ns each for a 16-bit Apery
+# walk (24 s at the bound), 20 to 23 ns for slots of 128 to 448 bits, 2 ns for
+# an 8-bit sublattice walk.
 WALK_BUDGET = 10**9
+# A dict term pair's fixed cost: its exponent tuple and dict update took 490
+# to 680 ns per box pair (exact Apery walks to N = 90 and 150, (1+x1)^3000),
+# however few words its coefficients have, so exact Apery is refused from
+# --N 151, about 20 s, as a packed walk is near 24 s.
+DICT_PAIR = 20
 
 
 def _check_work(work, what="walk"):
@@ -682,16 +687,17 @@ WORK_CHUNKS = 1024  # at most this many terms in a dict walk's estimate
 
 def _dict_walk_work(cur, base, steps):
     """Slot-words of a dict walk: step t pays len(base) term pairs per slot
-    of the box of cur * base**t, times the 64-bit words of sum|cur| *
-    sum|base|**t, plus its fixed cost; an empty factor pays only that.  The
-    steps are summed in WORK_CHUNKS runs, each priced at its last step (box
-    and words only grow), until the sum is over WALK_BUDGET."""
+    of the box of cur * base**t, times DICT_PAIR plus the 64-bit words of
+    sum|cur| * sum|base|**t, plus its fixed cost; an empty factor pays only
+    that.  The steps are summed in WORK_CHUNKS runs, each priced at its last
+    step (box and words only grow), until the sum is over WALK_BUDGET."""
     spans = list(zip(_spans(cur), _spans(base)))
     chunk, work, t = -(-steps // WORK_CHUNKS), 0, 0
     while t < steps and work <= WALK_BUDGET:
         last = min(t + chunk, steps)
         box = prod(s + last * b + 1 for s, b in spans)
-        work += (last - t) * (len(base) * box * _words((cur, 1), (base, last)) + 128)
+        pair = DICT_PAIR + _words((cur, 1), (base, last))
+        work += (last - t) * (len(base) * box * pair + 128)
         t = last
     return work
 
@@ -762,20 +768,14 @@ def _box(f):
 
 def _slot_data(f, bits):
     """f's residues in slots of `bits` bits over its box, row-major, as
-    bytes; cached with f, packed once per width: from the array of another
-    width up to 64 bits if one is cached, else from the coefficient map."""
+    bytes; packed from the coefficient map once per width, cached with f."""
     data = f._cache
     if bits not in data:
         lo, widths, _ = _box(f)
-        near = [b for b in data if b in _TYPECODES]
-        if bits in _TYPECODES and near:
-            data[bits] = array(_TYPECODES[bits],
-                               array(_TYPECODES[near[0]], data[near[0]])).tobytes()
-        else:
-            strides = [prod(widths[i + 1:]) for i in range(len(widths))]
-            index = [sum(map(mul, map(sub, e, lo), strides)) for e in f._coeffs]
-            data[bits] = _pack(f._coeffs.values(), bits, index).to_bytes(
-                prod(widths) * bits // 8, _ORDER)
+        strides = [prod(widths[i + 1:]) for i in range(len(widths))]
+        index = [sum(map(mul, map(sub, e, lo), strides)) for e in f._coeffs]
+        data[bits] = _pack(f._coeffs.values(), bits, index).to_bytes(
+            prod(widths) * bits // 8, _ORDER)
     return data[bits]
 
 
@@ -819,8 +819,8 @@ def cartier_of_product(factors, p):
     Mod m the factors are one Kronecker product in Z^d, the heaviest first,
     in slots that hold m-1 times the weight of any other, reduced before a
     factor could overflow them.  Only the slots on pZ^d are decoded, one
-    array slice per kept row.  Each factor is packed once (`_slot_data`)
-    and the result comes packed.  Exact coefficients, and a product whose
+    array slice per kept row.  Each factor is packed once per slot width
+    (`_slot_data`) and the result comes packed.  Exact coefficients, and a product whose
     term pairs on pZ^d are fewer than its box's slots / PAIR_SLOTS, take the
     dict multiply: all factors but the longest, then only the pairs with the
     longest that land on pZ^d, found by its terms' classes mod p."""

@@ -201,6 +201,7 @@ def test_check_ignores_unused_huge_s(argv, fmt):
     ["ct", "--N", "100000000", "--p", "3", "--K", "2"],
     ["ct", "--N", "100000000"],  # exact: the dict walk
     ["ct", "--N", "300"],  # exact, priced by its coefficients' 64-bit words
+    ["ct", "--N", "151"],  # exact: each term pair's fixed cost (--N 150 takes about 20 s)
     ["ct", "--N", "600", "--p", "3", "--K", "40"],  # slot-steps fit, 128-bit slot-words do not
     ["ct", "--poly", "x1", "--d", "1", "--N", "100000000", "--p", "3", "--K", "1"],  # cost per step
     # an empty base: every step still pays its fixed cost
@@ -260,8 +261,8 @@ def test_powers_within_budget_admitted(poly, out):
 
 @pytest.mark.oracle
 def test_growing_dict_walk_priced_step_by_step():
-    # 5.1e8 slot-words summed step by step, about 2 s; priced at its last
-    # step's box and coefficient words it was 1.5e9, and refused
+    # 6.7e8 slot-words summed step by step, about 2 s; priced at its last
+    # step's box and coefficient words it was refused
     code, out, err = run_subprocess("ct", "--poly", "(7*x1+x1^-1)^2000", "--d", "1",
                                     "--N", "1", timeout=60)
     assert (code, out[:2], err) == (0, b"1 ", b"")
@@ -278,7 +279,7 @@ def test_lemma_scale_probe_admitted():
 
 
 def test_product_within_budget_admitted():
-    # 4.4e7 slot-words, about 5 s on a 2-core x86-64 host
+    # 2.6e8 slot-words, about 5 s on a 2-core x86-64 host
     assert run_subprocess("ct", "--poly", "(1+x1+x2)^80*(1+x1+x2)^80", "--d", "2",
                           "--N", "1", timeout=60) == (0, b"1 1\n", b"")
 

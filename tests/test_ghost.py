@@ -351,10 +351,12 @@ def test_ghost_work_budget():
     lam = apery()
     for p, n_max in [(2, 15), (2, 63), (3, 50), (3, 80), (5, 124), (2, 100),
                      (2, 200), (3, 242)]:
-        lemma_calculator(lam, p, n_max).check_work(n_max)
+        lemma_calculator(lam, p, n_max)._check_fold_work(n_max)
     for p, n_max in [(2, 500), (2, 10**4000)]:
         with pytest.raises(ValueError, match="ghost layer .* slot-words; budget"):
-            lemma_calculator(lam, p, n_max).check_work(n_max)
+            lemma_calculator(lam, p, n_max)._check_fold_work(n_max)
+    with pytest.raises(ValueError, match="mod p"):  # an exact calculator
+        GhostCalculator(lam, p=2)._check_fold_work(10)
 
 
 def per_tuple_c(calc, n):
