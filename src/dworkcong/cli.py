@@ -16,6 +16,7 @@ identical invocations produce byte-identical structured output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -152,7 +153,7 @@ def _cmd_check(args) -> int:
     kind = args.kind
     N = args.N
     if N is None and kind in ("c1", "digit"):
-        N = args.p ** (args.s + 1) - 1
+        N = cong._b_through(args.p, args.s + 1, "the default N = p**(s+1) - 1") - 1
     if kind == "c2":
         report = cong.check_c2(lam, args.p, args.s, K=args.K, force=args.force)
     elif kind == "c1":
@@ -220,10 +221,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in the process, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

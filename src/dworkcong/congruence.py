@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import prod
+from math import log2, prod
 
 from .ghost import (
     GhostCalculator,
@@ -39,7 +39,7 @@ from .ghost import (
     length_p,
     reconstruct_b,
 )
-from .laurent import LaurentPoly, TruncSeries, constant_term_sequence
+from .laurent import LaurentPoly, TruncSeries, _check_log2, constant_term_sequence
 from .padic import _context_modulus
 from .polytope import is_admissible
 
@@ -83,14 +83,26 @@ def f_trunc(b, p: int, s: int, K: int) -> TruncSeries:
     return TruncSeries(p, K, need - 1, list(b[:need]))
 
 
-def _precision(s, K):
-    """The working precision K of a check at level s, by the module's rule."""
+def _precision(p, s, K):
+    """The working precision K of a check at level s, by the module's rule;
+    p**K, and with it every p**e, e <= s, is priced (`_context_modulus`)."""
     if s < 1:
         raise ValueError("s must be >= 1")
     K = s if K is None else K
     if K < s:
         raise ValueError(f"precision K={K} < s={s}")
+    _context_modulus(p, K)
     return K
+
+
+def _b_through(p, e, what):
+    """p**e for a check that needs b through about p**e, refused first when
+    p**e walk steps alone are over laurent's budget: compared in log2 (e
+    capped at 2**64), so that p**e is never formed then."""
+    _context_modulus(p, 1)  # p prime, so log2(p) >= 1
+    if e > 0:
+        _check_log2(min(e, 2**64) * log2(p), what)
+    return p**e
 
 
 def _admissible(lam, force) -> bool:
@@ -151,10 +163,10 @@ def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     degree p**(s+1) + p**s - p - 1, and compared coefficient by coefficient;
     needs b through p**(s+1) - 1.
     """
-    K = _precision(s, K)
+    K = _precision(p, s, K)
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
-    need = p ** (s + 1)
+    need = _b_through(p, s + 1, "b through p**(s+1)")
     bs = _prepare(lam, p, K, b, need)
     N = need + p**s - p - 1
 
@@ -173,7 +185,7 @@ def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=Fal
     Ill-posed when b_0 is not a unit (the denominators are then not
     invertible as truncated series); (c2) remains checkable in that case.
     """
-    K = _precision(s, K)
+    K = _precision(p, s, K)
     if N < 0:
         raise ValueError("N must be non-negative")
     t0 = time.perf_counter()
@@ -212,12 +224,12 @@ def check_dig2(lam: LaurentPoly, p: int, s: int, n_max: int, m_max: int,
     for all 0 <= n <= n_max, 0 <= m <= m_max.  The witness is the
     lexicographically smallest offending (n, m).
     """
-    K = _precision(s, K)
+    K = _precision(p, s, K)
     if n_max < 0 or m_max < 0:
         raise ValueError("n_max and m_max must be non-negative")
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
-    ps = p**s
+    ps = _b_through(p, s, "b through m_max*p**s") if m_max else p**s
     bs = _prepare(lam, p, K, b, n_max + m_max * ps + 1)
     witness = _first_mismatch((({"n": n, "m": m}, bs[n + m * ps] * bs[n // p],
                                 bs[n] * bs[n // p + m * p ** (s - 1)])

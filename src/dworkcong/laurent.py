@@ -60,7 +60,7 @@ from math import ceil, log2, prod
 from operator import add, mul, neg, sub
 
 from .padic import _context_modulus
-from .polytope import _eliminate
+from .polytope import _about, _eliminate
 
 
 def _check_ring(p, K):
@@ -292,7 +292,7 @@ class LaurentPoly:
             return PowerCache(self).power(n)
         m = self.modulus
         if m is None:
-            _check_work(ceil(_words((self, n)) ** log2(3)), "power")
+            _check_power(next(iter(self._coeffs.values()), 0), n)
         return self._make(_canonical(
             [(tuple(n * x for x in e), pow(c, n, m)) for e, c in self._coeffs.items()], m))
 
@@ -518,7 +518,22 @@ DICT_PAIR = 20
 def _check_work(work, what="walk"):
     """Refuse `work`, in slot-words, over WALK_BUDGET."""
     if work > WALK_BUDGET:
-        raise ValueError(f"{what} needs about {work} slot-words; budget {WALK_BUDGET}")
+        _check_log2(log2(work), what)
+
+
+def _check_log2(log, what):
+    """Refuse about 2**log slot-words over WALK_BUDGET, compared in log2, so
+    that an estimate too large to form is never formed."""
+    if log > log2(WALK_BUDGET):
+        raise ValueError(f"{what} needs about {_about(log)} slot-words; "
+                         f"budget {WALK_BUDGET}")
+
+
+def _check_power(c, n, what="power"):
+    """Refuse forming c**n, priced as its squarings: words**log2(3)
+    slot-words for its 64-bit words (Karatsuba), compared in log2."""
+    if abs(c) > 1 and n > 0:
+        _check_log2(log2(3) * max(0.0, log2(n) + log2(log2(abs(c))) - 6), what)
 
 
 def _spans(f):
@@ -527,8 +542,10 @@ def _spans(f):
 
 
 def _words(*powers):
-    """64-bit words of prod sum|f|**n, bounding the product's coefficients."""
-    bits = sum(n * log2(max(1, sum(map(abs, f._coeffs.values())))) for f, n in powers)
+    """64-bit words of prod sum|f|**n, bounding the product's coefficients;
+    each n capped at 2**64, past any budget, so that it converts to float."""
+    bits = sum(min(n, 2**64) * log2(max(1, sum(map(abs, f._coeffs.values()))))
+               for f, n in powers)
     return max(1, ceil(bits / 64))
 
 
@@ -548,6 +565,14 @@ class _PackedWalk:
         self.ring = base  # makes the decoded polynomials
         self.lat = lat
         self.shift, self.base_shift = frame[0], base_frame[0]
+        # the origin's box coordinates times det, -shift.X: a step moves it by
+        # -base_shift.X, a trim of lo rows by -lo.det in the first coordinate
+        self.det, origin, move = 1, [-s for s in self.shift], self.base_shift
+        if lat:
+            self.det = lat[2]
+            origin, move = ([c for c, in _times([[x] for x in v], lat[1])]
+                            for v in (origin, move))
+        self.origin, self.move = list(origin), list(move)
         self.widths = widths
         self.strides = [prod(widths[i + 1:]) for i in range(len(widths))]
         self.bits = bits
@@ -582,6 +607,7 @@ class _PackedWalk:
             self.x = sum((x * c if c > 1 else x) << shift for shift, c in self.terms)
         self.top *= self.weight
         self.shift = list(map(add, self.shift, self.base_shift))
+        self.origin = list(map(sub, self.origin, self.move))
         if self.left is not None:
             self.left -= 1
 
@@ -609,15 +635,13 @@ class _PackedWalk:
         if lo > 0:
             self.x >>= lo * row
             self.shift = [s + lo * f for s, f in zip(self.shift, first)]
+            self.origin[0] -= lo * self.det
 
     def constant_term(self):
-        u = [[-s] for s in self.shift]
-        u = _coords(self.lat, u) if self.lat else u
-        if u is None:
-            return 0
         index = 0
-        for (x,), w, s in zip(u, self.widths, self.strides):
-            if not 0 <= x < w:
+        for x, w, s in zip(self.origin, self.widths, self.strides):
+            x, off = divmod(x, self.det)
+            if off or not 0 <= x < w:
                 return 0
             index += x * s
         return (self.x >> (index * self.bits) & ((1 << self.bits) - 1)) % self.m

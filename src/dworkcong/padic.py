@@ -53,7 +53,8 @@ def is_prime(n: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _context_modulus(p: int, K: int) -> int:
-    """Validate a (p, K) context once and return p**K."""
+    """Validate a (p, K) context once and return p**K, priced first as
+    laurent prices a power (`_check_power`)."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p >= PRIME_TEST_BOUND:
@@ -61,6 +62,8 @@ def _context_modulus(p: int, K: int) -> int:
                          f"only below {PRIME_TEST_BOUND}")
     if not isinstance(K, int) or K < 1:
         raise ValueError(f"precision K = {K} must be an integer >= 1")
+    from .laurent import _check_power  # laurent imports this module
+    _check_power(p, K, "the modulus p**K")
     return p**K
 
 

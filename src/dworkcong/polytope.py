@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, prod
+from math import comb, gcd, log2, prod
 from operator import mul
 
 # Dot products of integer vectors of length <= d; on a 2-core x86-64 host a
@@ -47,10 +47,16 @@ from operator import mul
 GEOMETRY_BUDGET = 10**7
 
 
+def _about(log):
+    """An estimate of 2**log as a refusal prints it: three digits, or the
+    power of two from 2**64 on, so that no estimate is too long to print."""
+    return f"{2**log:.3g}" if log < 64 else f"2^{log:.0f}"
+
+
 def _check_geometry(work, what):
     """Refuse geometry estimated at more than GEOMETRY_BUDGET dot products."""
     if work > GEOMETRY_BUDGET:
-        raise ValueError(f"{what} needs about {work} dot products; "
+        raise ValueError(f"{what} needs about {_about(log2(work))} dot products; "
                          f"budget {GEOMETRY_BUDGET}")
 
 

@@ -28,6 +28,7 @@ from dworkcong.padic import teichmuller
 from dworkcong.polyparse import parse_poly
 from dworkcong.polytope import LatticePolytope, is_admissible, newton_polytope
 from dworkcong.unitroot import dwork_domain_test, omega_approx, unit_root_sweep
+from cli_smoke import BATTERY
 
 APERY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 CHEB_SRC = "x1 + x1^-1"
@@ -220,18 +221,7 @@ def test_criterion_09_zeta_cross_check():
 
 def test_criterion_10_determinism(capsys):
     t0 = time.perf_counter()
-    battery = [
-        ["ct", "--poly", APERY_SRC, "--d", "2", "--N", "60", "--format", "json"],
-        ["newton", "--poly", APERY_SRC, "--d", "2", "--format", "json"],
-        ["check", "c2", "--p", "3", "--s", "2", "--format", "json"],
-        ["check", "c1", "--p", "2", "--s", "2", "--format", "json"],
-        ["check", "dig2", "--p", "2", "--s", "2", "--nmax", "15", "--mmax", "3",
-         "--format", "json"],
-        ["check", "digit", "--p", "3", "--N", "30", "--format", "json"],
-        ["check", "lemma", "--p", "2", "--nmax", "15", "--format", "json"],
-        ["unitroot", "--p", "5", "--s", "2", "--sweep", "--format", "json"],
-    ]
-    for argv in battery:
+    for argv in BATTERY:
         code1 = cli_main(list(argv))
         out1 = capsys.readouterr().out
         code2 = cli_main(list(argv))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from dworkcong import polytope
-from dworkcong.cli import main
+from dworkcong import cli, polytope
+from dworkcong.cli import build_parser, main
 
 APERY = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 
@@ -19,13 +20,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_subprocess(*argv, timeout=5):
-    """The CLI in a fresh interpreter, killed (and the test failed) after `timeout` s."""
+def child_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "dworkcong.cli", *argv], env=env,
-                          capture_output=True, timeout=timeout)
+    return env
+
+
+def run_subprocess(*argv, timeout=5, memory=None):
+    """The CLI in a fresh interpreter, killed (and the test failed) after
+    `timeout` s; `memory` bytes, if given, cap its address space."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    proc = subprocess.run([sys.executable, "-m", "dworkcong.cli", *argv], env=child_env(),
+                          capture_output=True, timeout=timeout,
+                          preexec_fn=cap if memory else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -296,6 +308,48 @@ def test_arity_over_bound_exit2_at_once(argv):
     assert b"Traceback" not in err
 
 
+HUGE = "1000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    # b through p**(s+1), or m_max * p**s: p**e walk steps, compared in log2
+    ["check", "c2", "--p", "3", "--s", HUGE],
+    ["check", "c1", "--p", "3", "--s", HUGE],  # the default N = p**(s+1) - 1
+    ["check", "digit", "--p", "3", "--s", HUGE],
+    ["check", "dig2", "--p", "3", "--s", HUGE],
+    # no such b, but the modulus p**K, K >= s, priced as its squarings
+    ["check", "c1", "--p", "3", "--s", HUGE, "--N", "5"],
+    ["check", "dig2", "--p", "3", "--s", HUGE, "--mmax", "0"],
+    ["check", "c2", "--p", "3", "--s", "2", "--K", HUGE],
+    ["ct", "--N", "2", "--p", "3", "--K", HUGE],
+    # estimates past float range: exponents of 401 digits
+    ["check", "c2", "--p", "3", "--s", "1" + "0" * 400],
+    ["ct", "--N", "1" + "0" * 400],
+    ["ct", "--poly", "(2*x1)^1" + "0" * 400, "--d", "1", "--N", "2"],
+])
+def test_huge_exponents_exit2_at_once(argv):
+    # each formed a power of p of 10**12 bits or more, or an estimate past
+    # float range, before any price was compared
+    code, out, err = run_subprocess(*argv, timeout=5, memory=1 << 30)
+    assert (code, out) == (2, b"")
+    assert b"slot-words; budget 1000000000" in err and b"Traceback" not in err
+
+
+def test_huge_refusal_names_the_budget():
+    # the estimate has about 477,000 digits: it is printed as a power of two
+    code, out, err = run_subprocess("check", "c2", "--p", "3", "--s", "1000000",
+                                    timeout=5, memory=1 << 30)
+    assert (code, out) == (2, b"")
+    assert err == (b"error: b through p**(s+1) needs about 2^1584964 slot-words; "
+                   b"budget 1000000000\n")
+
+
+def test_monomial_of_huge_exponent_admitted():
+    # x1**n is only its exponent scaled; its estimate used to overflow a float
+    assert run_subprocess("ct", "--poly", "x1^1" + "0" * 400, "--d", "1", "--N", "2",
+                          timeout=5, memory=1 << 30) == (0, b"1 0 0\n", b"")
+
+
 @pytest.mark.parametrize("p", ["0", "1"])
 def test_check_lemma_non_prime_exit2(p):
     # p is checked before n_max is split into base-p digits (p = 1 hung, and
@@ -450,6 +504,59 @@ def test_usage_error_exit2(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+CALLS = [
+    ["check", "c1", "--poly", "x1+x2+x1^-1*x2^-1", "--d", "2", "--p", "3", "--s", "2"],
+    ["check"],  # usage error
+    ["--help"],
+    ["ct", "--N", "5", "--format", "json"],
+    ["check", "c2", "--help"],
+    ["nonsense"],
+    ["ct", "--poly", "x1+", "--N", "5"],  # parse error
+    ["check", "c1", "--poly", "x1+x2+x1^-1*x2^-1", "--d", "2", "--p", "3", "--s", "2"],
+]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in CALLS]
+    assert len(built) == 1 and cli._parser() is built[0]
+    fresh = []
+    for argv in CALLS:  # a new parser for every call
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()  # not one the next test's main would reuse
+    assert len(built) == 1 + len(CALLS)
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 2, 2, 0]
+    assert reused[0][1] and reused[2][1].startswith("usage: dworkcong")
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_import_builds_no_parser():
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counted(self, *a, **k):\n"
+              "    built.append(1)\n"
+              "    init(self, *a, **k)\n"
+              "argparse.ArgumentParser.__init__ = counted\n"
+              "import dworkcong.cli\n"
+              "print(len(built), dworkcong.cli._parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0 0\n", b"")
 
 
 def test_output_to_file(tmp_path, capsys):

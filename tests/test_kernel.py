@@ -22,6 +22,7 @@ from dworkcong.laurent import (
     LaurentPoly,
     PowerCache,
     TruncSeries,
+    _coords,
     _lattice,
     _mul_mod_lists,
     _pack,
@@ -480,6 +481,52 @@ def test_trimmed_simplex_sweep_matches_multinomials(monkeypatch):
     assert got == [factorial(n) // factorial(n // 4) ** 4 % 16 if n % 4 == 0 else 0
                    for n in range(64)]
     assert len(trims) >= 20
+
+
+def coords_route(walk):
+    """The origin's slot by the lattice coordinates of -shift, solved at the
+    read (`_coords`): the oracle of the coordinates the walk carries."""
+    u = [[-s] for s in walk.shift]
+    u = _coords(walk.lat, u) if walk.lat else u
+    if u is None:
+        return 0
+    index = 0
+    for (x,), w, s in zip(u, walk.widths, walk.strides):
+        if not 0 <= x < w:
+            return 0
+        index += x * s
+    return (walk.x >> (index * walk.bits) & ((1 << walk.bits) - 1)) % walk.m
+
+
+ORIGIN_BASES = [
+    (APERY_POLY_SRC, 2, False),  # Z^d
+    (CHEB, 1, True),  # index 2: the origin is off the coset at odd steps
+    (TRIANGLE, 2, True),  # index 3
+    (SIMPLEX3, 3, True),  # index 4
+    ("x2+x1+x1^-1*x2^-1", 2, True),  # a basis of negative determinant
+    ("x1*x2+x2+x1^-1*x2", 2, False),  # the origin below the box
+]
+
+
+@pytest.mark.parametrize("src,d,cosets", ORIGIN_BASES)
+@pytest.mark.parametrize("p,K,bits", [(2, 2, 8), (3, 5, 16), (3, 70, 128)])
+def test_origin_slot_step_by_step(src, d, cosets, p, K, bits):
+    lam = parse_poly(src, d, p=p, K=K)
+    N = 40
+    want = [q.constant_term() for q in dict_powers(lam, N)]
+    walk = _packed_walk(lam, lam, N - 1)
+    assert walk.bits == bits
+    walk.left = N - 1  # trimmed from the first reduction on
+    off = trims = 0
+    for n in range(1, N + 1):  # the walk holds lam**n
+        assert walk.constant_term() == coords_route(walk) == want[n], n
+        off += bool(walk.lat) and _coords(walk.lat, [[-s] for s in walk.shift]) is None
+        if n < N:
+            shift = walk.shift
+            walk.step()
+            trims += walk.shift != list(map(sum, zip(shift, walk.base_shift)))
+    assert (off > 0) == cosets
+    assert trims  # steps after a trim that moved the box were read too
 
 
 def test_trim_keeps_rows_between_the_origin_and_the_scaled_support():
