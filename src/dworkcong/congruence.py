@@ -39,7 +39,8 @@ from .ghost import (
     length_p,
     reconstruct_b,
 )
-from .laurent import LaurentPoly, TruncSeries, _check_log2, constant_term_sequence
+from .laurent import (LaurentPoly, TruncSeries, _check_log2, _check_series,
+                      constant_term_sequence)
 from .padic import _context_modulus
 from .polytope import is_admissible
 
@@ -167,8 +168,9 @@ def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
     need = _b_through(p, s + 1, "b through p**(s+1)")
-    bs = _prepare(lam, p, K, b, need)
     N = need + p**s - p - 1
+    _check_series(N + 1, _context_modulus(p, K), 2)
+    bs = _prepare(lam, p, K, b, need)
 
     def f(k):
         return TruncSeries(p, K, N, bs[: p**k])
@@ -188,6 +190,8 @@ def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=Fal
     K = _precision(p, s, K)
     if N < 0:
         raise ValueError("N must be non-negative")
+    # two products and two Newton inversions, each two products a doubling
+    _check_series(N + 1, _context_modulus(p, K), 2 + 4 * N.bit_length())
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
     bs = _prepare(lam, p, K, b, N + 1)

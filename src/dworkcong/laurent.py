@@ -31,13 +31,18 @@ beyond SHIFT_ADD_TERMS terms), b_n is read from the origin's slot, slots are
 reduced only before they could overflow and a power is decoded only where a
 caller keeps it.  A reduction is one `bytes.translate` for 8-bit slots and a
 Barrett reduction on the packed integer, two slots to a lane, for wider ones.
-Once no power is left to keep, a walk is trimmed at each reduction: with K
+Once no power is left to keep, a walk is cut at each reduction: with K
 steps to come, CT(cur * base**j), j <= K, reads cur only on the hull of the
 origin and -K.(base support), so the rows of the first box coordinate
-outside that hull are masked off or shifted out.  A walk or monomial power
-estimated over WALK_BUDGET is refused with ValueError before it starts.  The
-dict multiply handles the rest -- exact coefficients and one-shot products
-with fewer term pairs than box slots -- and is the kernel's test oracle.
+outside that hull are masked off or shifted out.  A walk large enough for a
+copy of its rows to pay holds the running power in a box fitted to the next
+reduction instead, its rows copied there into a new box, cut in every
+coordinate, while the shift-and-adds that saves outweigh the copy.  A walk
+is priced at the boxes it will carry, copies included, and a walk or
+monomial power estimated over WALK_BUDGET is refused with ValueError before
+it starts.  The dict multiply handles the rest -- exact coefficients and
+one-shot products with fewer term pairs than box slots -- and is the
+kernel's test oracle.
 
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from copy import copy
 from itertools import chain, combinations, compress, count, islice, product
 from math import ceil, log2, prod
 from operator import add, mul, neg, sub
@@ -406,6 +412,8 @@ def _mul_mod_lists(a, b, m, length=None):
     if length is None:
         length = len(a) + len(b) - 1
     bits = _slot((m - 1) * max(1, min(sum(a), sum(b))))
+    if (len(a) + len(b)) * bits > 64 * 31622:  # 31622**2 is about WALK_BUDGET
+        _check_series(max(len(a), len(b)), m)
     out = [v % m for v in _slots(_pack(a, bits) * _pack(b, bits), bits)[:length]]
     return out + [0] * (length - len(out))
 
@@ -501,18 +509,25 @@ def _frame(poly, lat):
 
 
 SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
-# Slot-words: a step of a packed walk counts its box slots times ceil(bits/64),
-# one of a dict walk len(base) term pairs per box slot times DICT_PAIR plus the
-# 64-bit words of its largest coefficient, and each step 128 more for its fixed
-# cost (about 3 us).  On a 2-core x86-64 host: 24 ns each for a 16-bit Apery
-# walk (24 s at the bound), 20 to 23 ns for slots of 128 to 448 bits, 2 ns for
-# an 8-bit sublattice walk.
+# Slot-words: a step of a packed walk counts the slots of the box it fills
+# times ceil(bits/64), one of a dict walk len(base) term pairs per box slot
+# times DICT_PAIR plus the 64-bit words of its largest coefficient, and each
+# step 128 more for its fixed cost (about 3 us).  On a 2-core x86-64 host, for
+# fitted boxes: 19 to 25 ns each for a 16-bit Apery walk (about 25 s at the
+# bound), 51 to 58 ns for 128-bit slots, 4 to 16 ns for 8-bit sublattice walks.
 WALK_BUDGET = 10**9
 # A dict term pair's fixed cost: its exponent tuple and dict update took 490
 # to 680 ns per box pair (exact Apery walks to N = 90 and 150, (1+x1)^3000),
 # however few words its coefficients have, so exact Apery is refused from
 # --N 151, about 20 s, as a packed walk is near 24 s.
 DICT_PAIR = 20
+# A copy of a packed walk's rows into a new box costs RELAYOUT slot-words
+# and one per COPY_BYTES bytes of the two boxes (about 12 us and 3 ns a byte
+# on a 2-core x86-64 host); a re-fit weighs it against the shift-and-adds it
+# saves, one slot-word per TERM_BYTES bytes times terms (0.65 to 0.75 ns).
+RELAYOUT = 1024
+COPY_BYTES = 8
+TERM_BYTES = 32
 
 
 def _check_work(work, what="walk"):
@@ -527,6 +542,16 @@ def _check_log2(log, what):
     if log > log2(WALK_BUDGET):
         raise ValueError(f"{what} needs about {_about(log)} slot-words; "
                          f"budget {WALK_BUDGET}")
+
+
+def _check_series(length, m, products=1):
+    """Refuse `products` kernel products of lists of at most `length`
+    residues mod m over WALK_BUDGET, compared in log2.  Each is priced like
+    a one-shot product of wide slots: words**log2(3) slot-words for the
+    64-bit words of a packed factor, slots of (m-1)**2 * length (Karatsuba)."""
+    words = -(-length * (2 * m.bit_length() + length.bit_length()) // 64)
+    if products * words * words > WALK_BUDGET:  # words**2 bounds words**log2(3)
+        _check_log2(log2(products) + log2(3) * log2(words), "series work")
 
 
 def _check_power(c, n, what="power"):
@@ -553,37 +578,65 @@ class _PackedWalk:
     """The powers cur * base**k, k = 0..steps, kept as one packed integer.
 
     The slot at box coordinates u holds the exponent shift + u.B, B the
-    lattice basis, in a box fixed for the walk.  Slots are reduced mod m only
-    when the largest slot value `top`, times base's weight, could overflow.
-    Its owner sets `left`, the steps still to come, once it decodes no more
-    powers: from then on each reduction also drops the rows of the first box
-    coordinate that no later constant term reads.
+    lattice basis.  After `done` steps the origin's box coordinates times
+    det are origin - done * move, and the running power fills the first
+    kept + done * spans slots of each box coordinate.  Slots are reduced mod
+    m every `period` steps, just before they could overflow, and the box may
+    be re-fitted there (`_fit`).  After step `keep` no power is decoded, and
+    each reduction cuts the running power to the hull of the origin and
+    -K.(base support), K the steps to come: every exponent that a later
+    constant term reads lies in it.  A walk whose box is large enough for a
+    copy of its rows to pay (`copies`) copies them, cut in every coordinate,
+    into a box fitted to the next reduction while that saves more
+    shift-and-adds than the copy costs, and then into one that lasts to the
+    walk's end.  A box that lasts is cut in its first coordinate alone, by a
+    mask and a shift.
     """
 
-    def __init__(self, cur, base, lat, frame, base_frame, widths, bits, weight):
-        self.m = base.modulus
-        self.ring = base  # makes the decoded polynomials
-        self.lat = lat
-        self.shift, self.base_shift = frame[0], base_frame[0]
-        # the origin's box coordinates times det, -shift.X: a step moves it by
-        # -base_shift.X, a trim of lo rows by -lo.det in the first coordinate
-        self.det, origin, move = 1, [-s for s in self.shift], self.base_shift
+    def __init__(self, cur, base, lat, frame, base_frame, bits, weight, steps, keep):
+        self.m, self.ring, self.lat = base.modulus, base, lat
+        self.bits, self.words = bits, -(-bits // 64)
+        # byte-terms of a slot a step: its bytes times the shift-and-adds
+        self.pace = min(len(base), SHIFT_ADD_TERMS) * bits // 8
+        # u = (e - shift).X / det, taken with det > 0: the origin's u times
+        # det is -shift.X, which a step moves by -base_shift.X
+        self.det, self.cols = 1, None
+        self.origin, self.move = [-s for s in frame[0]], base_frame[0]
         if lat:
-            self.det = lat[2]
-            origin, move = ([c for c, in _times([[x] for x in v], lat[1])]
-                            for v in (origin, move))
-        self.origin, self.move = list(origin), list(move)
-        self.widths = widths
-        self.strides = [prod(widths[i + 1:]) for i in range(len(widths))]
-        self.bits = bits
-        self.weight = weight
-        self.top = self.m - 1
+            X, self.det = lat[1:]
+            if self.det < 0:
+                X, self.det = [[-x for x in row] for row in X], -self.det
+            self.cols = list(zip(*X))
+            self.origin = [-sum(map(mul, frame[0], c)) for c in self.cols]
+            self.move = [sum(map(mul, base_frame[0], c)) for c in self.cols]
+        self.spans, self.kept = base_frame[3], [s + 1 for s in frame[3]]
+        self.steps, self.keep, self.done = steps, keep, 0
+        # the slots hold (m-1) * weight**period: reduce before step due + 1
+        self.period, top = 0, self.m - 1
+        while self.period < steps and not top * weight >> bits:
+            top, self.period = top * weight, self.period + 1
+        self.due, self.lanes, self.lasts = self.period, 0, True
+        self.dots = self.reduce = None
+        self.widths = [n + steps * b for n, b in zip(self.kept, self.spans)]  # lasting
+        # a copy, at a reduction, saves at most a period's shift-and-adds on the box
+        self.copies = self.period < steps and (prod(self.widths[1:]) - 1) * self.widths[0] \
+            * self.period * self.pace > RELAYOUT * TERM_BYTES
+        if self.copies:
+            self.widths, self.lasts = None, False
+            self._fit(False)
+        else:
+            self.strides = [prod(self.widths[i + 1:]) for i in range(len(self.widths))]
         self.x = _pack(cur._coeffs.values(), bits, self._index(*frame[1:3]))
-        index, values = self._index(*base_frame[1:3]), base._coeffs.values()
-        self.terms = [(i * bits, c) for i, c in zip(index, values)]
-        self.base = (_pack(values, bits, index) if len(base) > SHIFT_ADD_TERMS
-                     else None)
-        self.left = self.reduce = self.rows = None  # set by the owner, or at need
+        self.base_frame, self.values = base_frame, list(base._coeffs.values())
+        self._place_base()
+
+    @property
+    def shift(self):
+        """The exponent in slot 0, -origin.B / det."""
+        u = [self.done * v - o for o, v in zip(self.origin, self.move)]
+        if not self.lat:
+            return u
+        return [sum(map(mul, u, col)) // self.det for col in zip(*self.lat[0])]
 
     def _index(self, columns, lo):
         """The slots of the coordinates u given as columns, lo in slot 0."""
@@ -592,55 +645,135 @@ class _PackedWalk:
             index = [i + (x - l) * s for i, x in zip(index, column)]
         return index
 
+    def _place_base(self):
+        """The base's terms as (bit offset, residue) in the box, and the base
+        packed beyond SHIFT_ADD_TERMS terms."""
+        index = self._index(*self.base_frame[1:3])
+        self.terms = [(i * self.bits, c) for i, c in zip(index, self.values)]
+        self.base = (_pack(self.values, self.bits, index)
+                     if len(self.values) > SHIFT_ADD_TERMS else None)
+
+    def _fit(self, trim):
+        """Re-fit the box, cut when `trim` to the hull of the origin and
+        -K.(base support), K the steps to come, in every box coordinate, or
+        in the first alone on a walk without copies: (the re-layout, as
+        `_relayout` takes it, and its slot-words), or (None, 0)."""
+        old, done, spans, d = self.widths, self.done, self.spans, len(self.spans)
+        lo, kept = [0] * d, list(self.kept)
+        if trim:
+            left, det = self.steps - done, self.det
+            if self.dots is None:  # base support . X column: its least and largest
+                dots = zip(*self.ring._coeffs)
+                if self.cols:
+                    dots = ([sum(map(mul, e, c)) for e in self.ring._coeffs] for c in self.cols)
+                self.dots = [(min(t), max(t)) for t in dots]
+            for j in range(d if self.copies else 1):
+                (low, high), at = self.dots[j], self.origin[j] - done * self.move[j]
+                lo[j] = max(0, -((-min(0, -left * high) - at) // det))  # ceiling
+                last = min((max(0, -left * low) + at) // det, kept[j] + done * spans[j] - 1)
+                kept[j] = last - lo[j] + 1 - done * spans[j]
+                if last < lo[j]:  # no later constant term reads the running power
+                    self.kept = None
+                    return (lo, old, old, [0] * d), 0
+        widths, size = old, self.bits // 8
+        out = (self.kept[0] + done * spans[0]) * prod(old[1:]) * size if old else 0  # bytes read
+        if self.copies:
+            widths, lo, kept = self._box(lo, kept, out)
+        if widths is old and kept == self.kept and not any(lo):
+            return None, 0
+        if any(lo):
+            self.origin = [o - l * self.det for o, l in zip(self.origin, lo)]
+        self.kept, kept = kept, [n + done * b for n, b in zip(kept, spans)]
+        plan = lo, old, widths, kept
+        if widths is old:
+            return plan, 0
+        self.widths, self.strides = widths, [prod(widths[i + 1:]) for i in range(d)]
+        if not old:
+            return plan, 0
+        return plan, RELAYOUT + (out + kept[0] * prod(widths[1:]) * size) // COPY_BYTES
+
+    def _box(self, lo, kept, out):
+        """(box, lo, kept) for the `kept` slots, as of step 0, from `lo` on:
+        the box fitted to the next reduction where the shift-and-adds it
+        saves outweigh its copy, `out` bytes read and the box's written,
+        else one that lasts to the walk's end, the old one if it does, cut
+        in its first coordinate alone."""
+        old, spans, done = self.widths, self.spans, self.done
+        ahead = min(self.due, self.steps) - done  # steps to the next reduction
+        # the first coordinate costs nothing: every box takes the lasting rows
+        lasting = [n + self.steps * b for n, b in zip(kept, spans)]
+        fitted = lasting[:1] + [n + (done + ahead) * b for n, b in zip(kept[1:], spans[1:])]
+        held = old if self.lasts else lasting
+        rows = kept[0] + done * spans[0]
+        saved = (prod(held[1:]) - prod(fitted[1:])) * rows * ahead * self.pace
+        copy = RELAYOUT + (out + rows * prod(fitted[1:]) * self.bits // 8) // COPY_BYTES
+        if done + ahead < self.steps and saved > copy * TERM_BYTES:
+            self.lasts = False
+            return fitted, lo, kept
+        if not self.lasts:
+            self.lasts = True
+            return lasting, lo, kept
+        return old, lo[:1] + [0] * (len(lo) - 1), kept[:1] + self.kept[1:]
+
+    def work(self):
+        """Slot-words of the whole walk: its steps taken on a copy whose
+        packed integer is 0, each counting the box it fills, its fixed cost
+        and its copy.  Once over WALK_BUDGET the count stops, at its
+        mean step times the steps."""
+        box, work = copy(self), 0
+        box.x = 0
+        for done in range(1, self.steps + 1):
+            work += box.step() + 128
+            if box.kept:
+                rows = box.kept[0] + done * box.spans[0]
+                work += rows * box.strides[0] * box.words
+            if work > WALK_BUDGET:
+                return work * self.steps // done
+        return work
+
+    def _relayout(self, lo, old, new, kept):
+        """The packed integer in the box `new`: the `kept` slots from `lo`
+        on in each coordinate of the box `old`."""
+        x, bits = self.x, self.bits
+        if not x or self.kept is None:
+            return 0
+        row = prod(old[1:]) * bits
+        if new is old:  # the first coordinate only
+            return x >> lo[0] * row & (1 << kept[0] * row) - 1
+        data = x.to_bytes(max(-(-x.bit_length() // 8), (lo[0] + kept[0]) * row // 8), _ORDER)
+        return int.from_bytes(_restride(data, old, new, bits // 8, lo, kept), _ORDER)
+
     def step(self):
-        if self.top * self.weight >> self.bits:
-            if self.reduce is None:
-                self.reduce = _reducer(self.m, self.bits, prod(self.widths))
-            self.x = self.reduce(self.x)
-            self.top = self.m - 1
-            if self.left is not None:
-                self._trim()
+        """Multiply by the base, reduced and re-fitted first where a
+        reduction is due; return the re-layout's slot-words, 0 without one."""
+        done, plan, cost = self.done, None, 0
+        reduced = done == self.due
+        if reduced:
+            self.due += self.period
+            if self.kept and (done >= self.keep or not self.lasts):
+                plan, cost = self._fit(done >= self.keep)
+        if plan:
+            self.x = self._relayout(*plan)
+            if plan[2] is not plan[1]:
+                self._place_base()
+        self.done = done + 1
         x = self.x
+        if reduced and x:  # a reducer for at most twice the slots, at least half
+            if self.reduce is None or self.bits > 8 and not (
+                    self.lanes // 4 < -(-x.bit_length() // self.bits) <= self.lanes):
+                self.lanes = -(-x.bit_length() // self.bits) * 2
+                self.reduce = _reducer(self.m, self.bits, self.lanes)
+            x = self.reduce(x)
         if self.base is not None:
             self.x = x * self.base
         else:  # one shift-and-add per term of base
             self.x = sum((x * c if c > 1 else x) << shift for shift, c in self.terms)
-        self.top *= self.weight
-        self.shift = list(map(add, self.shift, self.base_shift))
-        self.origin = list(map(sub, self.origin, self.move))
-        if self.left is not None:
-            self.left -= 1
-
-    def _trim(self):
-        """Keep only the rows lo..hi of the first box coordinate that meet the
-        hull of the origin and -K.(base support), K = left: every exponent of
-        the running power that a later constant term reads lies in it."""
-        if self.rows is None:  # the row of e is (e - shift).col / det
-            if self.lat:
-                basis, X, det = self.lat
-                col, first = [row[0] for row in X], basis[0]
-                if det < 0:
-                    col, det = [-c for c in col], -det
-            else:
-                col = first = [int(i == 0) for i in range(len(self.shift))]
-                det = 1
-            dots = [sum(map(mul, e, col)) for e in self.ring._coeffs]
-            self.rows = col, det, min(dots), max(dots), first
-        col, det, low, high, first = self.rows
-        at, K = sum(map(mul, self.shift, col)), self.left
-        lo = -((at - min(0, -K * high)) // det)  # ceiling
-        hi = (max(0, -K * low) - at) // det
-        row = self.strides[0] * self.bits
-        self.x &= (1 << max(hi + 1, 0) * row) - 1
-        if lo > 0:
-            self.x >>= lo * row
-            self.shift = [s + lo * f for s, f in zip(self.shift, first)]
-            self.origin[0] -= lo * self.det
+        return cost
 
     def constant_term(self):
-        index = 0
-        for x, w, s in zip(self.origin, self.widths, self.strides):
-            x, off = divmod(x, self.det)
+        index, done = 0, self.done
+        for o, v, w, s in zip(self.origin, self.move, self.widths, self.strides):
+            x, off = divmod(o - done * v, self.det)
             if off or not 0 <= x < w:
                 return 0
             index += x * s
@@ -658,12 +791,14 @@ class _PackedWalk:
         return self.ring._make(dict(zip(zip(*exps), filter(None, residues))))
 
 
-def _packed_walk(cur, base, steps):
+def _packed_walk(cur, base, steps, keep=None):
     """A packed walk from cur by `steps` multiplications by base, in slots
-    of `_slot((m-1) * weight)` bits, or None for the dict multiply: exact
-    coefficients, an empty factor, or a one-shot product (steps == 1) with
-    fewer term pairs than slots in its box.  Only a longer walk, whose cur
-    is a power of base, packs in base's lattice."""
+    of `_slot((m-1) * weight)` bits, that decodes no power after step `keep`
+    (default: steps), or None for the dict multiply: exact coefficients, an
+    empty factor, or a one-shot product (steps == 1) with fewer term pairs
+    than slots in its box.  Only a longer walk, whose cur is a power of
+    base, packs in base's lattice.  It is priced at its full box at every
+    step, and when that is over WALK_BUDGET at the boxes it fits (`work`)."""
     m = base.modulus
     if m is None or not cur or not base:
         return None
@@ -675,9 +810,15 @@ def _packed_walk(cur, base, steps):
     spans = list(zip(frame[3], base_frame[3]))
     if steps == 1 and len(cur) * len(base) < prod(s + b + 1 for s, b in spans):
         return None
-    widths = [s + steps * b + 1 for s, b in spans]
-    _check_work(steps * (prod(widths) * -(-bits // 64) + 128))
-    return _PackedWalk(cur, base, lat, frame, base_frame, widths, bits, weight)
+    words = -(-bits // 64)
+    work = steps * (prod(s + steps * b + 1 for s, b in spans) * words + 128)
+    if steps * (words + 128) > WALK_BUDGET:  # a slot a step, at the least
+        _check_work(work)
+    walk = _PackedWalk(cur, base, lat, frame, base_frame, bits, weight, steps,
+                       steps if keep is None else keep)
+    if work > WALK_BUDGET:
+        _check_work(walk.work())
+    return walk
 
 
 class _DictWalk:
@@ -697,10 +838,11 @@ class _DictWalk:
         return self.cur
 
 
-def _walk(cur, base, steps):
+def _walk(cur, base, steps, keep=None):
     """The walk from cur by `steps` multiplications by base, packed when the
-    kernel applies; refused (`_check_work`) before it allocates."""
-    walk = _packed_walk(cur, base, steps)
+    kernel applies, decoding no power after step `keep`; refused
+    (`_check_work`) before it allocates."""
+    walk = _packed_walk(cur, base, steps, keep)
     if walk is None:
         _check_work(_dict_walk_work(cur, base, steps))
     return walk or _DictWalk(cur, base)
@@ -814,18 +956,29 @@ def _classes(f, p):
     return f._cache[key]
 
 
-def _restride(data, widths, wide, size):
+def _restride(data, widths, new, size, lo=None, keep=None):
     """Slots of `size` bytes over the box `widths`, laid out in the box
-    `wide` >= widths from the same first slot: one copy per row."""
-    if widths[1:] == wide[1:]:
+    `new`: in each coordinate the `keep` slots (default: all) from `lo`
+    (default: 0) on move to slot 0 on.  One slice per row, the rows joined
+    by the zeros between them; data itself when only the first coordinate
+    differs."""
+    if lo is None and widths[1:] == new[1:]:
         return data
-    row = widths[-1] * size
-    strides = [prod(wide[i + 1:]) * size for i in range(len(wide) - 1)]
-    out = bytearray(sum((w - 1) * s for w, s in zip(widths, strides)) + row)
-    for at, u in zip(count(0, row), product(*map(range, widths[:-1]))):
-        start = sum(map(mul, u, strides))
-        out[start:start + row] = data[at:at + row]
-    return out
+    lo, keep, view, last = lo or [0] * len(widths), keep or widths, memoryview(data), len(new) - 1
+    src = [prod(widths[i + 1:]) * size for i in range(last + 1)]
+    dst = [prod(new[i + 1:]) * size for i in range(last + 1)]
+    row = keep[-1] * size
+
+    def block(at, i):  # the kept slots of coordinates i on, from byte `at`
+        starts = range(at, at + keep[i] * src[i], src[i])
+        if i == last - 1:
+            rows = [view[a:a + row] for a in starts]
+        else:
+            rows = [block(a, i + 1) for a in starts]
+        return bytes(dst[i] - len(rows[0])).join(rows)
+
+    at = sum(map(mul, lo, src))
+    return block(at, 0) if last else view[at:at + row]
 
 
 # Box slots of a packed Cartier product that cost about as much as one term
@@ -949,15 +1102,13 @@ class PowerCache:
     def _sweep(self, top, n, keep=()):
         """Walk from the largest saved power at or below `top` up to n,
         recording constant terms and saving the marked powers and `keep`;
-        once none is left to save, the walk trims itself (`left`)."""
+        the walk is told the step after which none is left to save."""
         start = max(k for k in self._saved if k <= top)
         keep = {k for k in chain(self._marks, keep)
                 if start < k <= n and k not in self._saved}
         last = max(keep, default=start)
-        walk = _walk(self._saved[start], self.base, n - start)
+        walk = _walk(self._saved[start], self.base, n - start, last - start)
         for i in range(start + 1, n + 1):
-            if i == last + 1:
-                walk.left = n - last
             walk.step()
             if i == len(self._cts):
                 self._cts.append(walk.constant_term())

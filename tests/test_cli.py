@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -214,7 +215,7 @@ def test_check_ignores_unused_huge_s(argv, fmt):
     ["ct", "--N", "100000000"],  # exact: the dict walk
     ["ct", "--N", "300"],  # exact, priced by its coefficients' 64-bit words
     ["ct", "--N", "151"],  # exact: each term pair's fixed cost (--N 150 takes about 20 s)
-    ["ct", "--N", "600", "--p", "3", "--K", "40"],  # slot-steps fit, 128-bit slot-words do not
+    ["ct", "--N", "1200", "--p", "3", "--K", "40"],  # slot-steps fit, 128-bit slot-words not
     ["ct", "--poly", "x1", "--d", "1", "--N", "100000000", "--p", "3", "--K", "1"],  # cost per step
     # an empty base: every step still pays its fixed cost
     ["ct", "--poly", "0", "--N", "100000000"],
@@ -290,6 +291,16 @@ def test_lemma_scale_probe_admitted():
     assert out.startswith(b"check lemma p=3 n_max=242 guard=2 K=6: PASS")
 
 
+def test_fitted_walk_admitted():
+    # priced at its fitted boxes, 2.3e7 slot-words, about 0.4 s on a 2-core
+    # x86-64 host; at its full box, 1.6e9, it was refused
+    code, out, err = run_subprocess("ct", "--poly", "x1+x2+x3+x1^-1*x2^-1*x3^-1", "--d", "3",
+                                    "--N", "200", "--p", "3", "--K", "3", timeout=30)
+    assert (code, err) == (0, b"")
+    assert out.split() == [str(factorial(n) // factorial(n // 4) ** 4 % 27 if n % 4 == 0
+                               else 0).encode() for n in range(201)]
+
+
 def test_product_within_budget_admitted():
     # 2.6e8 slot-words, about 5 s on a 2-core x86-64 host
     assert run_subprocess("ct", "--poly", "(1+x1+x2)^80*(1+x1+x2)^80", "--d", "2",
@@ -322,6 +333,9 @@ HUGE = "1000000000000"
     ["check", "dig2", "--p", "3", "--s", HUGE, "--mmax", "0"],
     ["check", "c2", "--p", "3", "--s", "2", "--K", HUGE],
     ["ct", "--N", "2", "--p", "3", "--K", HUGE],
+    # series products, priced before the walk: K = 10**6 gives slots of
+    # 3.2 million bits (16.8 s when only the walk was priced)
+    ["check", "c1", "--p", "3", "--s", "2", "--K", "1000000", "--N", "9"],
     # estimates past float range: exponents of 401 digits
     ["check", "c2", "--p", "3", "--s", "1" + "0" * 400],
     ["ct", "--N", "1" + "0" * 400],

@@ -11,7 +11,7 @@ slowdown rather than a wrong answer.
 import random
 import sys
 from math import comb, factorial, prod
-from operator import mul
+from operator import gt, le, mul
 
 import pytest
 
@@ -23,6 +23,7 @@ from dworkcong.laurent import (
     PowerCache,
     TruncSeries,
     _coords,
+    _frame,
     _lattice,
     _mul_mod_lists,
     _pack,
@@ -284,13 +285,63 @@ BENCH_WALKS = [
 ]
 
 
+def arity(src):
+    return {CHEB: 1, SIMPLEX3: 3}.get(src, 2)
+
+
 @pytest.mark.parametrize("src,p,K,steps,bits,widths", BENCH_WALKS)
 def test_bench_walks_pack(src, p, K, steps, bits, widths):
-    lam = parse_poly(src, {CHEB: 1, SIMPLEX3: 3}.get(src, 2), p=p, K=K)
-    walk = _packed_walk(lam, lam, steps)
-    assert (walk.bits, walk.widths) == (bits, list(widths))
-    assert walk.lat == _lattice(lam)  # the support's own edge vectors for index > 1
-    assert (list(walk.lat[0]) if walk.lat else None) == BASES[src]
+    lam = parse_poly(src, arity(src), p=p, K=K)
+    for keep in (0, steps):  # a constant-term sweep, and a walk to a kept power
+        walk = _packed_walk(lam, lam, steps, keep)
+        assert walk.bits == bits
+        assert walk.lat == _lattice(lam)  # the support's own edge vectors for index > 1
+        assert (list(walk.lat[0]) if walk.lat else None) == BASES[src]
+        largest = list(walk.widths)
+        for _ in range(steps):
+            walk.step()
+            if walk.kept:
+                largest = list(map(max, largest, walk.widths))
+        assert all(map(le, largest, widths))  # the full box bounds every box
+
+
+# The scale probes' walks: check c2 --p 3 --s 4 (b through 3**5) and --p 5
+# --s 3 (through 5**4), and the SIMPLEX3 ct --N 200 --p 3 --K 3.
+PROBE_WALKS = [(APERY_POLY_SRC, 3, 4, 242), (APERY_POLY_SRC, 5, 3, 624), (SIMPLEX3, 3, 3, 199)]
+
+
+def carried(monkeypatch):
+    """Count the slot-words every packed walk carries from here on: after
+    each step, the 64-bit words of its packed integer's slots, the step's
+    fixed 128 and its re-layout; and the same with its box for the slots."""
+    count = {"slots": 0, "box": 0}
+    step = _PackedWalk.step
+
+    def counted(walk):
+        relayout = step(walk) + 128
+        count["slots"] += -(-walk.x.bit_length() // walk.bits) * walk.words + relayout
+        rows = walk.kept[0] + walk.done * walk.spans[0] if walk.kept else 0
+        count["box"] += rows * walk.strides[0] * walk.words + relayout
+        return relayout - 128
+
+    monkeypatch.setattr(_PackedWalk, "step", counted)
+    return count
+
+
+@pytest.mark.parametrize("src,p,K,steps", [w[:4] for w in BENCH_WALKS] + PROBE_WALKS)
+def test_walk_estimates_bound_the_work_counted(monkeypatch, src, p, K, steps):
+    lam = parse_poly(src, arity(src), p=p, K=K)
+    for keep in (0, steps) if steps < 600 else (0,):
+        walk = _packed_walk(lam, lam, steps, keep)
+        estimate = walk.work()
+        full = _frame(lam, walk.lat)[3]
+        assert estimate <= steps * (prod(s * (steps + 1) + 1 for s in full) * walk.words + 128)
+        with monkeypatch.context() as m:
+            count = carried(m)
+            for _ in range(steps):
+                walk.step()
+        assert count["box"] == estimate  # the estimate takes the walk's own steps
+        assert count["slots"] <= estimate <= 1.5 * count["slots"]
 
 
 def dict_powers(lam, N):
@@ -395,7 +446,7 @@ def test_byte_table_reduction():
     full, reduced = _packed_walk(lam, lam, 5), _packed_walk(lam, lam, 5)
     assert full.bits == 8 and prod(full.widths) >= 256
     full.x = int.from_bytes(bytes(range(256)), sys.byteorder)  # every byte value
-    full.top = 255  # the next step reduces first
+    full.due = full.done  # the next step reduces first
     reduced.x = int.from_bytes(bytes(v % 16 for v in range(256)), sys.byteorder)
     full.step()
     reduced.step()
@@ -432,16 +483,55 @@ def test_lane_reduction_gives_exact_residues(bits, count):
 
 
 def sweep_trims(monkeypatch):
-    """Count the trims of every packed walk from here on."""
-    trims = []
-    trim = _PackedWalk._trim
+    """Record every box re-fit of every packed walk from here on, as (steps
+    to come, cut, the running power's extent, re-layout): `cut` when it
+    trims, the re-layout (lo, old box, new box, kept) or None when the box
+    and the running power stay."""
+    fits = []
+    fit = _PackedWalk._fit
 
-    def counted(walk):
-        trims.append(walk.left)
-        trim(walk)
+    def counted(walk, trim):
+        ext = [n + walk.done * b for n, b in zip(walk.kept, walk.spans)]
+        plan, cost = fit(walk, trim)
+        fits.append((walk.steps - walk.done, trim, ext, plan))
+        return plan, cost
 
-    monkeypatch.setattr(_PackedWalk, "_trim", counted)
-    return trims
+    monkeypatch.setattr(_PackedWalk, "_fit", counted)
+    return fits
+
+
+def cuts(fits):
+    """The re-fits that trim, one at each reduction once no power is kept."""
+    return [f for f in fits if f[1]]
+
+
+def moved(fits, d):
+    """Per box coordinate, the re-layouts that dropped or added its slots:
+    moved it (lo > 0), cut it, widened it (beyond the first coordinate) or
+    emptied the box."""
+    return [sum(min(kept) <= 0 or bool(lo[j]) or kept[j] < ext[j] or j and old[j] != new[j]
+                for _, _, ext, (lo, old, new, kept) in relaid(fits)) for j in range(d)]
+
+
+def relaid(fits):
+    """The re-fits that re-laid a walk's box out after its start."""
+    return [f for f in fits if f[3] and f[3][1] is not None]
+
+
+def copies(fits):
+    """The re-layouts that copied rows into a new box."""
+    return [f for f in relaid(fits) if min(f[3][3]) > 0 and f[3][2] is not f[3][1]]
+
+
+def set_costs(monkeypatch, costs):
+    """Copies at their price, or free, so that every walk of more than one
+    box coordinate re-lays its box out at each reduction that drops slots."""
+    if costs == "free":
+        monkeypatch.setattr(laurent, "RELAYOUT", 0)
+        monkeypatch.setattr(laurent, "COPY_BYTES", 10**9)
+
+
+COSTS = pytest.mark.parametrize("costs", ["priced", "free"])
 
 
 TRIMMED = [(src, d) for src, d, _ in LATTICES] + [
@@ -449,38 +539,91 @@ TRIMMED = [(src, d) for src, d, _ in LATTICES] + [
     ("1+x1+x2", 2),  # the origin at a vertex of the Newton polytope
     ("x1^-1+x1^-1*x2^2+x1", 2),
     ("x2+x1+x1^-1*x2^-1", 2),  # a lattice basis of negative determinant
-    ("5", 1),  # a one-term base at the origin
+    ("5", 1),  # a one-term base at the origin: one slot, nothing to cut
 ]
 
 
 @pytest.mark.parametrize("src,d", TRIMMED)
-@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2)])
-def test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K):
-    trims = sweep_trims(monkeypatch)
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2), (3, 45)])  # 8, 16, 128 bits
+def test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K, costs="priced"):
+    set_costs(monkeypatch, costs)
+    fits = sweep_trims(monkeypatch)
     lam = parse_poly(src, d, p=p, K=K)
     N = 30
     want = [q.constant_term() for q in dict_powers(lam, N)]
     assert constant_term_sequence(lam, N) == want
-    assert trims
+    if _packed_walk(lam, lam, N - 1, 0).period < N - 1:  # cuts come with reductions
+        assert cuts(fits)
+        spans = _frame(lam, _lattice(lam))[3]  # the base's extent in box coordinates
+        if costs == "free":
+            # every box coordinate that the base spans is cut, beyond the first by a copy
+            assert all(n for n, s in zip(moved(fits, d), spans) if s)
+            assert bool(copies(fits)) == any(spans[1:])
 
 
-def test_trims_move_the_box_with_a_negative_determinant(monkeypatch):
-    trims = sweep_trims(monkeypatch)
+@pytest.mark.parametrize("src,d", TRIMMED)
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2), (3, 45)])
+def test_relaid_out_sweeps_match_dict_walk(monkeypatch, src, d, p, K):
+    test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K, "free")
+
+
+@pytest.mark.parametrize("src,costs", [
+    ("x1*x2+x1+x1*x2^-1", "priced"),  # every x1 exponent of lam**n is n > 0
+    ("x1*x2+x1+x1*x2^-1", "free"),
+    ("x2+x1*x2+x2^2+x1^-1*x2^2", "free"),  # every x2 exponent is n or more
+])
+def test_trim_window_that_empties(monkeypatch, src, costs):
+    # a later constant term reads only exponents in [-K, 0] of that
+    # coordinate, so the first cut in it leaves nothing to carry: in the
+    # first box coordinate at any price, in the second by a copy
+    set_costs(monkeypatch, costs)
+    fits = sweep_trims(monkeypatch)
+    lam = parse_poly(src, 2, p=3, K=2)
+    walk = _packed_walk(lam, lam, 29, 0)
+    for _ in range(29):
+        walk.step()
+        assert walk.constant_term() == 0
+    assert [min(f[3][3]) <= 0 for f in cuts(fits) if f[3]] == [True]
+    assert walk.kept is None and walk.x == 0
+
+
+def test_trims_move_the_box_with_a_negative_determinant(monkeypatch, costs="priced"):
+    set_costs(monkeypatch, costs)
+    fits = sweep_trims(monkeypatch)
     lam = parse_poly("x2+x1+x1^-1*x2^-1", 2, p=3, K=3)
     assert _lattice(lam)[2] < 0
     assert constant_term_sequence(lam, 60) == [
         factorial(n) // factorial(n // 3) ** 3 % 27 if n % 3 == 0 else 0
         for n in range(61)]
-    assert len(trims) >= 10
+    assert len(cuts(fits)) >= 10
+    counts = moved(fits, 2)
+    assert counts[0] >= 5
+    assert (counts[1] >= 5) == (costs == "free")  # at its price, a mask and a shift
 
 
-def test_trimmed_simplex_sweep_matches_multinomials(monkeypatch):
-    trims = sweep_trims(monkeypatch)
-    lam = parse_poly(SIMPLEX3, 3, p=2, K=4)
+def test_relaid_out_box_with_a_negative_determinant(monkeypatch):
+    test_trims_move_the_box_with_a_negative_determinant(monkeypatch, "free")
+
+
+def test_trimmed_simplex_sweep_matches_multinomials(monkeypatch, p=2, K=4, bits=8,
+                                                    costs="priced"):
+    set_costs(monkeypatch, costs)
+    fits = sweep_trims(monkeypatch)
+    lam = parse_poly(SIMPLEX3, 3, p=p, K=K)
+    assert _packed_walk(lam, lam, 62, 0).bits == bits
     got = constant_term_sequence(lam, 63)
-    assert got == [factorial(n) // factorial(n // 4) ** 4 % 16 if n % 4 == 0 else 0
+    assert got == [factorial(n) // factorial(n // 4) ** 4 % p**K if n % 4 == 0 else 0
                    for n in range(64)]
-    assert len(trims) >= 20
+    assert len(cuts(fits)) >= (20 if bits == 8 else 5)  # one at each reduction
+    # SIMPLEX3's walks copy at their price: every coordinate is cut
+    assert all(n >= 5 for n in moved(fits, 3)) and copies(fits)
+
+
+@pytest.mark.parametrize("p,K,bits,costs", [(2, 4, 8, "free"), (3, 5, 16, "priced"),
+                                            (3, 5, 16, "free"), (3, 70, 128, "priced"),
+                                            (3, 70, 128, "free")])
+def test_simplex_sweeps_at_every_width(monkeypatch, p, K, bits, costs):
+    test_trimmed_simplex_sweep_matches_multinomials(monkeypatch, p, K, bits, costs)
 
 
 def coords_route(walk):
@@ -510,23 +653,31 @@ ORIGIN_BASES = [
 
 @pytest.mark.parametrize("src,d,cosets", ORIGIN_BASES)
 @pytest.mark.parametrize("p,K,bits", [(2, 2, 8), (3, 5, 16), (3, 70, 128)])
-def test_origin_slot_step_by_step(src, d, cosets, p, K, bits):
+def test_origin_slot_step_by_step(monkeypatch, src, d, cosets, p, K, bits, costs="priced"):
+    set_costs(monkeypatch, costs)
+    fits = sweep_trims(monkeypatch)
     lam = parse_poly(src, d, p=p, K=K)
     N = 40
     want = [q.constant_term() for q in dict_powers(lam, N)]
-    walk = _packed_walk(lam, lam, N - 1)
+    walk = _packed_walk(lam, lam, N - 1, 0)  # trimmed from the first reduction on
     assert walk.bits == bits
-    walk.left = N - 1  # trimmed from the first reduction on
-    off = trims = 0
+    off = read = 0
     for n in range(1, N + 1):  # the walk holds lam**n
         assert walk.constant_term() == coords_route(walk) == want[n], n
         off += bool(walk.lat) and _coords(walk.lat, [[-s] for s in walk.shift]) is None
+        read += any(any(f[3][0]) or min(f[3][3]) <= 0 for f in relaid(fits))
         if n < N:
-            shift = walk.shift
             walk.step()
-            trims += walk.shift != list(map(sum, zip(shift, walk.base_shift)))
     assert (off > 0) == cosets
-    assert trims  # steps after a trim that moved the box were read too
+    assert read  # steps after a cut that moved the box were read too
+    if costs == "free":  # copies where the base spans a coordinate beyond the first
+        assert bool(copies(fits)) == any(_frame(lam, walk.lat)[3][1:])
+
+
+@pytest.mark.parametrize("src,d,cosets", ORIGIN_BASES)
+@pytest.mark.parametrize("p,K,bits", [(2, 2, 8), (3, 5, 16), (3, 70, 128)])
+def test_origin_slot_after_relayouts(monkeypatch, src, d, cosets, p, K, bits):
+    test_origin_slot_step_by_step(monkeypatch, src, d, cosets, p, K, bits, "free")
 
 
 def test_trim_keeps_rows_between_the_origin_and_the_scaled_support():
@@ -534,18 +685,60 @@ def test_trim_keeps_rows_between_the_origin_and_the_scaled_support():
     # only the origin's row keeps the exponents the middle steps read
     base = LaurentPoly(1, {(1,): 1, (2,): 1}, p=3, K=2)
     cur = LaurentPoly(1, {(-20,): 1, (-12,): 2}, p=3, K=2)
-    walk, steps = _packed_walk(cur, base, 20), [cur]
-    walk.left = 20  # trimmed from the first step, as a sweep that keeps nothing
+    walk, steps = _packed_walk(cur, base, 20, 0), [cur]  # keeps no power
     for _ in range(20):
         steps.append(steps[-1]._mul_dict(base))
         walk.step()
         assert walk.constant_term() == steps[-1].constant_term()
     assert any(q.constant_term() for q in steps)
-    assert walk.left == 0 and walk.rows is not None
+    assert walk.done == 20 and walk.dots is not None
+
+
+@COSTS
+def test_long_base_is_repacked_after_a_copy(monkeypatch, costs):
+    set_costs(monkeypatch, costs)
+    fits = sweep_trims(monkeypatch)
+    rng = random.Random(13)
+    base = dense_poly(rng, 2, 6, 3, 2)  # 169 terms, over SHIFT_ADD_TERMS
+    walk, powers = _packed_walk(base, base, 12, 0), [base]
+    assert walk.base is not None
+    for _ in range(12):
+        powers.append(powers[-1]._mul_dict(base))
+        walk.step()
+        assert walk.constant_term() == powers[-1].constant_term()
+        # the packed base in the current box
+        assert walk.base == _pack(walk.values, walk.bits, walk._index(*walk.base_frame[1:3]))
+    assert copies(fits)  # its steps are dear: copies pay at their price
+
+
+@pytest.mark.parametrize("src,d", [(SIMPLEX3, 3), (APERY_POLY_SRC, 2), (TRIANGLE, 2)])
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 5), (3, 45)])
+@COSTS
+def test_power_cache_decodes_powers_after_growth(monkeypatch, costs, src, d, p, K):
+    set_costs(monkeypatch, costs)
+    # a sweep that keeps powers grows its box as the power spreads, copying
+    # its rows; the powers it decodes and the later cuts see the new box
+    fits = sweep_trims(monkeypatch)
+    lam = parse_poly(src, d, p=p, K=K)
+    N = 40
+    powers = dict_powers(lam, N)
+    cache = PowerCache(lam)
+    cache.mark([7, 19, 26])
+    assert cache.constant_terms(N) == [q.constant_term() for q in powers]
+    for n in (7, 19, 26):
+        assert cache._saved[n] == powers[n]
+    grown = [f for f in relaid(fits) if any(map(gt, f[3][2][1:], f[3][1][1:]))]
+    # the box grows at reductions; a small walk starts in a box that lasts
+    assert grown or costs == "priced" or _packed_walk(lam, lam, N).period >= 25
+    assert all(f[0] > N - 26 for f in grown if not f[1])  # before the last kept power
+    assert cuts(fits) and all(f[0] <= N - 26 for f in cuts(fits))  # cut after it
+    del fits[:]
+    assert cache.power(N) == powers[N]  # from power 26, not the trimmed walk
+    assert not cuts(fits)
 
 
 def test_power_cache_sweeps_trim_after_their_last_kept_power(monkeypatch):
-    trims = sweep_trims(monkeypatch)
+    fits = sweep_trims(monkeypatch)
     lam = parse_poly(SIMPLEX3, 3, p=2, K=4)
     N = 60
     powers = dict_powers(lam, N)
@@ -554,10 +747,10 @@ def test_power_cache_sweeps_trim_after_their_last_kept_power(monkeypatch):
     assert cache.constant_terms(N) == [q.constant_term() for q in powers]
     for n in (17, 30, 39):  # decoded late in a sweep that reduced many times
         assert cache._saved[n] == powers[n]
-    assert trims and all(left <= N - 39 for left in trims)
-    del trims[:]
+    assert cuts(fits) and all(f[0] <= N - 39 for f in cuts(fits))
+    del fits[:]
     assert cache.power(N) == powers[N]  # from power 39, not the trimmed walk
-    assert not trims
+    assert not cuts(fits)
 
 
 def full_constant_term(factors):
