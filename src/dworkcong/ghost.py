@@ -28,6 +28,17 @@ state by about p in every coordinate.  A state depends only on the factors
 at or below its level, so a calculator memoizes it on its level and those
 (level, m_i, n_i): tuples and n that agree up to a level share its state.
 
+Mod p**K the fold runs on values born from slots (`laurent._born`): the
+powers Lam**(a*p**s) its walk keeps, the ghost terms formed from them by
+`substitute_power` and `-`, the states `cartier_of_product` returns and
+the one-shot products of `constant_term_of_product` hold their Z^d box and
+slot bytes, and each product, difference and top constant term reads those
+slots.  No coefficient map is decoded unless a caller reads one -- `terms`,
+`coefficient` of more than one slot, `==`, printing, the per-tuple oracle
+`tuple_product` -- or a value is too sparse for its box (`laurent.SPARSE`;
+the Z^3 powers of x1+x2+x3+1/(x1*x2*x3) fill about 1/48 of theirs), which
+is decoded when it is formed.  Exact coefficients stay on the dict route.
+
 The same c_n can be recovered without any polynomial arithmetic from the
 block-partition identity
 
@@ -161,7 +172,9 @@ class GhostCalculator:
     terms (and records every constant term along the way, so b-sequences are
     a byproduct).  Ghost terms R_s(Lam**digit), their x -> x**(p**j) shifts
     (for the per-tuple products) and the fold's states are memoized: digits
-    repeat heavily across different n.
+    repeat heavily across different n.  Mod p**K they are values born from
+    slots, whose coefficient maps are decoded only when read (module
+    docstring).
     """
 
     def __init__(self, lam: LaurentPoly, p=None, K=None):

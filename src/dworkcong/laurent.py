@@ -28,7 +28,7 @@ Gentleman, Math. Comp. 26, 1972) -- is one walk of the running power; a
 monomial's power scales its exponent.  Mod m the walk is packed: a step
 is one shift-and-add per term of the base (one product with the packed base
 beyond SHIFT_ADD_TERMS terms), b_n is read from the origin's slot, slots are
-reduced only before they could overflow and a power is decoded only where a
+reduced only before they could overflow and a power is formed only where a
 caller keeps it.  A reduction is one `bytes.translate` for 8-bit slots and a
 Barrett reduction on the packed integer, two slots to a lane, for wider ones.
 Once no power is left to keep, a walk is cut at each reduction: with K
@@ -46,8 +46,20 @@ kernel's test oracle.
 
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
-Z^d of which only the slots on pZ^d are decoded.  Each factor is packed
-once per slot width and cached with it, as is the result.
+Z^d of which only the slots on pZ^d are kept.  Each factor is packed once
+per slot width and cached with it.
+
+Mod m a value can be born from slots (`_born`): the power a walk keeps, the
+product of a one-shot multiply with a factor born so, the difference or
+sum with such a value on the left, its x -> x**m spread and the result of
+`cartier_of_product`.  It holds its Z^d box, cut to its support, its slot
+width and its slot bytes; its length, weight and constant term come from
+the slots, and it decodes its coefficient map only when a caller reads one
+(`coefficient` reads one slot).  Products, sums and constant terms of
+products (`constant_term_of_product`) of such values run on their slots,
+so the ghost fold of `ghost.GhostCalculator.c_direct` decodes no map.  A
+value with over SPARSE box slots per term, a box too sparse to carry, is
+decoded at birth; exact coefficients are never born from slots.
 
 Also provided: truncated power series with coefficients mod p**K, supporting
 multiplication (the same kernel in one variable), substitution X -> X**p and
@@ -89,12 +101,13 @@ class LaurentPoly:
     """Immutable sparse Laurent polynomial.
 
     Do not mutate the coefficient map after construction; all operations
-    return fresh objects.  Iteration helpers (`terms`, `support`) are sorted
-    lexicographically on the exponent vector so printed output and reports
-    are reproducible.
+    return fresh objects (`self + 0` returns self).  Iteration helpers
+    (`terms`, `support`) are sorted lexicographically on the exponent vector
+    so printed output and reports are reproducible.  A value born from slots
+    (`_born`) has no coefficient map until one is read (`__getattr__`).
     """
 
-    __slots__ = ("arity", "p", "K", "modulus", "_coeffs", "_lattice", "_cache")
+    __slots__ = ("arity", "p", "K", "modulus", "_lattice", "_cache", "_coeffs")
 
     def __init__(self, arity, coeffs=None, p=None, K=None):
         if not isinstance(arity, int) or arity < 1:
@@ -110,14 +123,27 @@ class LaurentPoly:
                 raise ValueError(f"coefficients must be integers, got {c!r}")
         self._set(arity, p, K, modulus, _canonical(items, modulus))
 
-    def _set(self, *values):
-        """Set arity, p, K, modulus and the coefficient map; nothing cached yet
-        (the lattice, and the box and packings of `cartier_of_product`)."""
-        for name, value in zip(self.__slots__, values + (None, {})):
+    def _set(self, arity, p, K, modulus, coeffs, cache=None):
+        """Set the ring and the coefficient map, or for coeffs None the slots
+        it is decoded from (`cache`, as `_born` fills it); nothing else is
+        cached yet (the lattice, and the box and packings of the kernel)."""
+        for name, value in zip(self.__slots__, (arity, p, K, modulus, None, cache or {})):
             object.__setattr__(self, name, value)
+        if coeffs is not None:
+            object.__setattr__(self, "_coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __getattr__(self, name):
+        """Reached only for an unset slot: the coefficient map of a value born
+        from slots, decoded on its first read."""
+        if name != "_coeffs":
+            raise AttributeError(name)
+        cache = self._cache
+        coeffs = _decode(*cache["box"][:2], cache["bits"], cache[cache["bits"]])
+        object.__setattr__(self, "_coeffs", coeffs)
+        return coeffs
 
     # -- constructors ------------------------------------------------------
 
@@ -158,10 +184,11 @@ class LaurentPoly:
     def _ring_name(self):
         return "Z" if self.p is None else f"Z/{self.p}^{self.K}"
 
-    def _make(self, coeffs):
-        # internal fast path: coeffs already canonical (no zeros, right arity)
+    def _make(self, coeffs, cache=None):
+        # internal fast path: coeffs already canonical (no zeros, right arity),
+        # or None for a value born from the slots in `cache`
         out = object.__new__(LaurentPoly)
-        out._set(self.arity, self.p, self.K, self.modulus, coeffs)
+        out._set(self.arity, self.p, self.K, self.modulus, coeffs, cache)
         return out
 
     def reduce_mod(self, p, K):
@@ -179,10 +206,12 @@ class LaurentPoly:
         e = tuple(exponents)
         if len(e) != self.arity:
             raise ValueError(f"exponent {e} does not have arity {self.arity}")
+        if "len" in self._cache:  # born from slots: read the one slot
+            return _slot_at(self, e)
         return self._coeffs.get(e, 0)
 
     def constant_term(self):
-        return self._coeffs.get((0,) * self.arity, 0)
+        return self.coefficient((0,) * self.arity)
 
     def support(self):
         """Exponent vectors with nonzero coefficient, lexicographically sorted."""
@@ -193,10 +222,10 @@ class LaurentPoly:
         return sorted(self._coeffs.items())
 
     def __len__(self):
-        return len(self._coeffs)
+        return self._cache.get("len") or len(self._coeffs)
 
-    def __bool__(self):
-        return bool(self._coeffs)
+    def __bool__(self):  # a value born from slots is never 0
+        return "len" in self._cache or bool(self._coeffs)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -220,12 +249,7 @@ class LaurentPoly:
         return other
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._same_ring(other)
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return self._make(_canonical(out.items(), self.modulus))
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -234,7 +258,21 @@ class LaurentPoly:
                                      self.modulus))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign * other: on slots mod m when self was born from them
+        (`_packed_sum`), else on the coefficient maps."""
+        other = self._coerce(other)
+        self._same_ring(other)
+        if not other:
+            return self
+        if "len" in self._cache:
+            return _packed_sum(self, other, sign)
+        out = dict(self._coeffs)
+        for e, c in other._coeffs.items():
+            out[e] = out.get(e, 0) + sign * c
+        return self._make(_canonical(out.items(), self.modulus))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -245,13 +283,18 @@ class LaurentPoly:
         self._same_ring(other)
         # the shorter factor plays the base, whose length bounds the slots
         a, b = (self, other) if len(self) >= len(other) else (other, self)
-        walk = _packed_walk(a, b, 1)
-        if walk is None:  # priced as one step of a dict walk
+        if "len" in a._cache or "len" in b._cache:  # the slots of a value born from them
+            out = _packed_product(a, b) if b else b
+        else:
+            walk = out = _packed_walk(a, b, 1)
+            if walk is not None:
+                walk.step()
+                out = walk.poly()
+        if out is None:  # priced as one step of a dict walk
             _check_work(len(a) * len(b) * (_words((a, 1), (b, 1)) + DICT_PAIR),
                         "product")
             return self._mul_dict(other)
-        walk.step()
-        return walk.poly()
+        return out
 
     def _mul_dict(self, other):
         """Term-by-term product: the exact-ring path and the packed kernel's oracle."""
@@ -308,6 +351,14 @@ class LaurentPoly:
             raise ValueError("substitution power must be an integer >= 1")
         if m == 1:
             return self
+        if "len" in self._cache:  # born from slots: every row spread by m
+            lo, widths, weight = self._cache["box"]
+            bits, new = self._cache["bits"], [m * (w - 1) + 1 for w in widths]
+            if len(self) * SPARSE >= prod(new):  # else decoded, the box too sparse
+                rows = _rows(widths, _strides(widths), [m * s for s in _strides(new)])
+                return _born(self, [m * x for x in lo], new, bits,
+                             _scatter(self._cache[bits], bits, prod(new), rows, m),
+                             (len(self), weight))
         return self._make(
             {tuple(m * x for x in e): c for e, c in self._coeffs.items()}
         )
@@ -355,30 +406,237 @@ def _slot(bound):
     return next(bits for bits in (8, 16, 32, 64) if n <= bits)
 
 
+def _values(data, bits):
+    """The slots of `bits` bits in data, lowest first: an array up to 64
+    bits, a list of ints beyond."""
+    if bits in _TYPECODES:
+        out = array(_TYPECODES[bits])
+        out.frombytes(data)
+        return out
+    size = bits // 8
+    return [int.from_bytes(data[i:i + size], _ORDER) for i in range(0, len(data), size)]
+
+
+def _data(values, bits, index=None, length=None):
+    """Slots of `bits` bits holding the values, as bytes: the i-th value in
+    slot index[i] of `length` (default: past the last index), the others 0,
+    or in slot i without an index."""
+    size = bits // 8
+    if index is None:
+        if bits in _TYPECODES:
+            return array(_TYPECODES[bits], values).tobytes()
+        return b"".join(c.to_bytes(size, _ORDER) for c in values)
+    index = list(index)
+    if length is None:
+        length = max(index) + 1
+    if bits in _TYPECODES:
+        out = array(_TYPECODES[bits], bytes(length * size))
+        for i, c in zip(index, values):
+            out[i] = c
+        return out.tobytes()
+    out = bytearray(length * size)
+    for i, c in zip(index, values):
+        out[i * size:(i + 1) * size] = c.to_bytes(size, _ORDER)
+    return bytes(out)
+
+
 def _slots(x, bits, length=None):
     """The slots of `bits` bits of the packed integer x, lowest first, up to
-    its highest nonzero one or `length` of them: an array up to 64 bits, a
-    list of ints beyond."""
-    size = bits // 8
+    its highest nonzero one or `length` of them (`_values`)."""
     if length is None:
         length = -(-x.bit_length() // bits)
-    data = x.to_bytes(length * size, _ORDER)
-    if bits in _TYPECODES:
-        return array(_TYPECODES[bits], data)
-    return [int.from_bytes(data[i:i + size], _ORDER) for i in range(0, len(data), size)]
+    return _values(x.to_bytes(length * bits // 8, _ORDER), bits)
 
 
 def _pack(values, bits, index=None):
     """Residues in slots of `bits` bits of one integer: the i-th value in
-    slot index[i], or in slot i without an index."""
-    if index is not None:
-        slots = [0] * (max(index) + 1)
-        for i, c in zip(index, values):
-            slots[i] = c
-        values = slots
-    if bits in _TYPECODES:
+    slot index[i], or in slot i without an index (`_data`)."""
+    if index is None and bits in _TYPECODES:
         return int.from_bytes(array(_TYPECODES[bits], values), _ORDER)
-    return int.from_bytes(b"".join(c.to_bytes(bits // 8, _ORDER) for c in values), _ORDER)
+    return int.from_bytes(_data(values, bits, index), _ORDER)
+
+
+def _strides(widths):
+    """Row-major strides of the box `widths`."""
+    return [prod(widths[i + 1:]) for i in range(len(widths))]
+
+
+def _rewidth(data, bits, new):
+    """Slots of `bits` bits laid out in slots of `new` bits, every value
+    fitting both: one strided byte slice per byte of the narrower."""
+    a, b = bits // 8, new // 8
+    if a == b:
+        return data
+    out = bytearray(len(data) // a * b)
+    for k in range(min(a, b)):  # the low bytes of each slot
+        i, j = (k, k) if _ORDER == "little" else (b - 1 - k, a - 1 - k)
+        out[i::b] = data[j::a]
+    return bytes(out)
+
+
+def _rows(widths, src, dst, to=0):
+    """(u.src, to + u.dst, widths[-1]) for each row u of the box `widths`,
+    its coordinates but the last: the rows of a box for `_scatter`."""
+    return [(sum(map(mul, u, src)), to + sum(map(mul, u, dst)), widths[-1])
+            for u in product(*map(range, widths[:-1]))]
+
+
+def _scatter(data, bits, length, rows, step=1):
+    """`length` slots of `bits` bits, 0 but for the rows moved from data:
+    each (at, to, n) moves its n slots from slot `at` on to the slots to,
+    to + step, ...  One extended-slice assignment per row and 64-bit word
+    of a slot."""
+    lanes = max(1, bits // 64)
+    code = _TYPECODES[bits // lanes]
+    src, out, jump = array(code), array(code, bytes(length * bits // 8)), step * lanes
+    src.frombytes(data)
+    for at, to, n in rows:
+        for k in range(lanes):
+            start = to * lanes + k
+            stop = start + n * jump
+            out[start:stop if stop >= 0 else None:jump] = \
+                src[at * lanes + k:(at + n) * lanes:lanes]
+    return out.tobytes()
+
+
+# -- values born from slots ------------------------------------------------------
+
+
+def _born(ring, lo, widths, bits, data, counts=None):
+    """A value of ring's ring born from `data`: residues mod m over the box
+    lo <= e < lo + widths in slots of `bits` bits, row-major.  It keeps its
+    box, cut to its support's (`_hull`), its width and bytes (`_slot_data`),
+    and its length and weight from the slots (or `counts`), and decodes its
+    coefficient map only when a caller reads it (`LaurentPoly.__getattr__`).
+    0 when every slot is; a value with over SPARSE box slots per term is
+    decoded at once, its box and bytes kept only as a cached packing."""
+    if data.count(0) == len(data):
+        return ring._make({})
+    lo, widths, data = _hull(lo, widths, bits, data)
+    if counts is None:
+        values = _values(data, bits)
+        counts = len(values) - values.count(0), sum(values)
+    n, weight = counts
+    cache = {"box": (list(lo), list(widths), weight), bits: data}
+    if n * SPARSE < prod(widths):
+        return ring._make(_decode(lo, widths, bits, data), cache)
+    cache.update(bits=bits, len=n)
+    return ring._make(None, cache)
+
+
+def _hull(lo, widths, bits, data):
+    """(lo, widths, data) cut to the least box holding every nonzero slot of
+    data, not all 0: at each end of each coordinate, the slabs of zero
+    slots are dropped, each tested by byte slices (`_restride`)."""
+    size, d = bits // 8, len(widths)
+    strides = _strides(widths)
+    first, last = [0] * d, [w - 1 for w in widths]
+
+    def zero(j, t):  # the slots whose coordinate j is t
+        block = strides[j] * size
+        if not j:
+            return data.count(0, t * block, (t + 1) * block) == block
+        every = block * widths[j]
+        return all(not data[b::every].strip(b"\0") for b in range(t * block, (t + 1) * block))
+
+    for j in range(d):
+        while zero(j, first[j]):
+            first[j] += 1
+        while zero(j, last[j]):
+            last[j] -= 1
+    keep = [b - a + 1 for a, b in zip(first, last)]
+    if keep == widths:
+        return lo, widths, data
+    return list(map(add, lo, first)), keep, bytes(_restride(data, widths, keep, size, first, keep))
+
+
+def _as_born(f):
+    """f mod m as a value born from its slots, in the narrowest width; f
+    itself when it was, or when it is exact or 0."""
+    if "len" in f._cache or f.modulus is None or not f:
+        return f
+    lo, widths, weight = _box(f)
+    bits = _slot(f.modulus - 1)
+    return _born(f, lo, widths, bits, _slot_data(f, bits), (len(f), weight))
+
+
+def _decode(lo, widths, bits, data):
+    """The coefficient map of the residues `data` over the box lo + widths
+    in slots of `bits` bits."""
+    slots = _values(data, bits)
+    index = list(compress(count(), slots))
+    columns = [[i // s % w + l for i in index]
+               for w, s, l in zip(widths, _strides(widths), lo)]
+    return dict(zip(zip(*columns), compress(slots, slots)))
+
+
+def _slot_at(f, e):
+    """The residue of a value born from slots at the exponent e."""
+    lo, widths, _ = f._cache["box"]
+    index = 0
+    for x, l, w in zip(e, lo, widths):
+        if not l <= x < l + w:
+            return 0
+        index = index * w + x - l
+    size = f._cache["bits"] // 8
+    return int.from_bytes(f._cache[f._cache["bits"]][index * size:(index + 1) * size], _ORDER)
+
+
+def _packed_sum(a, b, sign):
+    """a + sign * b mod m on slots, over the box holding both: a - b as
+    a + (m - b) slot by slot on the packed integers, then one reduction."""
+    m = a.modulus
+    (la, wa, _), (lb, wb, _) = _box(a), _box(b)
+    lo = list(map(min, la, lb))
+    widths = [max(x + w, y + v) - l for x, w, y, v, l in zip(la, wa, lb, wb, lo)]
+    bits, n = _slot(2 * m - 1), prod(widths)
+    strides = _strides(widths)
+
+    def placed(f, flo, fw):
+        data = _slot_data(f, bits)
+        if flo != lo or fw != widths:
+            to = sum((x - l) * s for x, l, s in zip(flo, lo, strides))
+            data = _scatter(data, bits, n, _rows(fw, _strides(fw), strides, to))
+        return int.from_bytes(data, _ORDER)
+
+    x, y = placed(a, la, wa), placed(b, lb, wb)
+    if sign < 0:
+        y = m * int.from_bytes((1).to_bytes(bits // 8, _ORDER) * n, _ORDER) - y
+    x = _reducer(m, bits, n)(x + y)
+    return _born(a, lo, widths, bits, x.to_bytes(n * bits // 8, _ORDER))
+
+
+def _packed_dot(a, b):
+    """CT(a * b) = sum_e a(e) * b(-e) mod m on slots: the sub-box of e in
+    a's box with -e in b's, cut from a's slots and from b's (`_restride`),
+    b's read backwards, since -e runs through its sub-box in reverse order."""
+    (la, wa, _), (lb, wb, _) = _box(a), _box(b)
+    lo = [max(x, 1 - y - v) for x, y, v in zip(la, lb, wb)]
+    keep = [min(x + w, 1 - y) - l for x, w, y, l in zip(la, wa, lb, lo)]
+    if min(keep) <= 0:
+        return 0
+    bits = max(a._cache.get("bits", 0), b._cache.get("bits", 0))
+    A = _restride(_slot_data(a, bits), wa, keep, bits // 8, list(map(sub, lo, la)), keep)
+    B = _restride(_slot_data(b, bits), wb, keep, bits // 8,
+                  [1 - l - k - y for l, k, y in zip(lo, keep, lb)], keep)
+    return sum(map(mul, _values(A, bits), reversed(_values(B, bits)))) % a.modulus
+
+
+def _packed_product(a, b):
+    """a * b mod m, one of them born from slots, as one Kronecker product
+    in Z^d (`_kronecker`), born from its slots; None for the dict multiply
+    when its box has over PAIR_SLOTS slots per term pair, as for U_p.
+    Priced like a walk's step."""
+    lo, wide = _product_box((a, b))
+    if len(a) * len(b) * PAIR_SLOTS < prod(wide):
+        return None
+    m = a.modulus
+    _check_work(prod(wide) * -(-_slot((m - 1) * min(_box(a)[2], _box(b)[2])) // 64) + 128,
+                "product")
+    x, bits, top = _kronecker((a, b), wide)
+    if top >= m:
+        x = _reducer(m, bits, prod(wide))(x)
+    return _born(a, lo, wide, bits, x.to_bytes(prod(wide) * bits // 8, _ORDER))
 
 
 def _reducer(m, bits, slots):
@@ -582,15 +840,16 @@ class _PackedWalk:
     det are origin - done * move, and the running power fills the first
     kept + done * spans slots of each box coordinate.  Slots are reduced mod
     m every `period` steps, just before they could overflow, and the box may
-    be re-fitted there (`_fit`).  After step `keep` no power is decoded, and
+    be re-fitted there (`_fit`).  After step `keep` no power is kept, and
     each reduction cuts the running power to the hull of the origin and
     -K.(base support), K the steps to come: every exponent that a later
-    constant term reads lies in it.  A walk whose box is large enough for a
-    copy of its rows to pay (`copies`) copies them, cut in every coordinate,
-    into a box fitted to the next reduction while that saves more
-    shift-and-adds than the copy costs, and then into one that lasts to the
-    walk's end.  A box that lasts is cut in its first coordinate alone, by a
-    mask and a shift.
+    constant term reads lies in it; a walk without copies re-fits only from
+    the first reduction at which that cuts (`first_cut`).  A walk whose box
+    is large enough for a copy of its rows to pay (`copies`) copies them,
+    cut in every coordinate, into a box fitted to the next reduction while
+    that saves more shift-and-adds than the copy costs, and then into one
+    that lasts to the walk's end.  A box that lasts is cut in its first
+    coordinate alone, by a mask and a shift.
     """
 
     def __init__(self, cur, base, lat, frame, base_frame, bits, weight, steps, keep):
@@ -625,8 +884,14 @@ class _PackedWalk:
             self.widths, self.lasts = None, False
             self._fit(False)
         else:
-            self.strides = [prod(self.widths[i + 1:]) for i in range(len(self.widths))]
-        self.x = _pack(cur._coeffs.values(), bits, self._index(*frame[1:3]))
+            self.strides = _strides(self.widths)
+        self.first_cut = self._first_cut()
+        if frame[1] is None:  # cur born from slots in Z^d: its box's rows
+            self.x = int.from_bytes(_restride(_slot_data(cur, bits), [s + 1 for s in frame[3]],
+                                              self.widths, bits // 8), _ORDER)
+        else:
+            self.x = _pack(cur._coeffs.values(), bits, self._index(*frame[1:3]))
+        self.start = cur  # whose Z^d box plus done times base's holds the power
         self.base_frame, self.values = base_frame, list(base._coeffs.values())
         self._place_base()
 
@@ -653,6 +918,45 @@ class _PackedWalk:
         self.base = (_pack(self.values, self.bits, index)
                      if len(self.values) > SHIFT_ADD_TERMS else None)
 
+    def _support_dots(self):
+        """The least and largest dot product of the base support with each
+        column of X (of each coordinate over Z^d) that `_fit` cuts: all on a
+        walk with copies, else the first; computed once."""
+        if self.dots is None:
+            dots = zip(*self.ring._coeffs)
+            if self.cols:
+                dots = ([sum(map(mul, e, c)) for e in self.ring._coeffs] for c in self.cols)
+            self.dots = [(min(t), max(t)) for t in islice(dots, None if self.copies else 1)]
+        return self.dots
+
+    def _first_cut(self):
+        """The first reduction from step keep on at which `_fit`'s window
+        cuts the first box coordinate of a walk without copies, else steps
+        (keep on a walk with copies).
+        With at = origin - done * move, as of step 0, and K = steps - done,
+        it cuts below when at > 0 and at > K * high, above when at and
+        at - K * low are below det * (the running power's last row): each
+        test linear in done, so each side's steps are one interval."""
+        if self.copies or self.keep >= self.steps:
+            return self.keep
+        (low, high), o, v = self._support_dots()[0], self.origin[0], self.move[0]
+        S, period, row = self.steps, self.period, self.det * (self.kept[0] - 1)
+        grow, first = self.det * self.spans[0], S
+        for tests in (((o, -v), (o - S * high, high - v)),  # c + k * done > 0
+                      ((row - o, v + grow), (row - o + S * low, v + grow - low))):
+            lo, hi = max(period, self.keep), S
+            for c, k in tests:
+                if k > 0:
+                    lo = max(lo, -c // k + 1)
+                elif k < 0:
+                    hi = min(hi, -(c // k))
+                elif c <= 0:
+                    hi = lo
+            at = -(-lo // period) * period  # the first reduction in [lo, hi)
+            if at < hi:
+                first = min(first, at)
+        return first
+
     def _fit(self, trim):
         """Re-fit the box, cut when `trim` to the hull of the origin and
         -K.(base support), K the steps to come, in every box coordinate, or
@@ -661,14 +965,9 @@ class _PackedWalk:
         old, done, spans, d = self.widths, self.done, self.spans, len(self.spans)
         lo, kept = [0] * d, list(self.kept)
         if trim:
-            left, det = self.steps - done, self.det
-            if self.dots is None:  # base support . X column: its least and largest
-                dots = zip(*self.ring._coeffs)
-                if self.cols:
-                    dots = ([sum(map(mul, e, c)) for e in self.ring._coeffs] for c in self.cols)
-                self.dots = [(min(t), max(t)) for t in dots]
+            left, det, dots = self.steps - done, self.det, self.dots or self._support_dots()
             for j in range(d if self.copies else 1):
-                (low, high), at = self.dots[j], self.origin[j] - done * self.move[j]
+                (low, high), at = dots[j], self.origin[j] - done * self.move[j]
                 lo[j] = max(0, -((-min(0, -left * high) - at) // det))  # ceiling
                 last = min((max(0, -left * low) + at) // det, kept[j] + done * spans[j] - 1)
                 kept[j] = last - lo[j] + 1 - done * spans[j]
@@ -687,7 +986,7 @@ class _PackedWalk:
         plan = lo, old, widths, kept
         if widths is old:
             return plan, 0
-        self.widths, self.strides = widths, [prod(widths[i + 1:]) for i in range(d)]
+        self.widths, self.strides = widths, _strides(widths)
         if not old:
             return plan, 0
         return plan, RELAYOUT + (out + kept[0] * prod(widths[1:]) * size) // COPY_BYTES
@@ -750,7 +1049,7 @@ class _PackedWalk:
         reduced = done == self.due
         if reduced:
             self.due += self.period
-            if self.kept and (done >= self.keep or not self.lasts):
+            if self.kept and (not self.lasts or done >= self.first_cut):
                 plan, cost = self._fit(done >= self.keep)
         if plan:
             self.x = self._relayout(*plan)
@@ -780,15 +1079,54 @@ class _PackedWalk:
         return (self.x >> (index * self.bits) & ((1 << self.bits) - 1)) % self.m
 
     def poly(self):
-        m = self.m
-        slots = _slots(self.x, self.bits)
-        index = list(compress(count(), slots))
-        residues = [slots[i] % m for i in index]
-        index = list(compress(index, residues))
-        columns = [[i // s % w for i in index]
-                   for w, s in zip(self.widths, self.strides)]
-        exps = _points(self.lat, self.shift, columns)
-        return self.ring._make(dict(zip(zip(*exps), filter(None, residues))))
+        """The running power, born from its slots (`_born`) in the Z^d box
+        bbox(cur) + done * bbox(base).  Over Z^d the walk's rows are that
+        box's; in a lattice basis B a slot's Z^d index is affine in its box
+        coordinates, so each row of the walk, clipped to the box, moves by
+        one strided slice assignment (`_scatter`).  A power with over SPARSE
+        slots of that box per term (SIMPLEX3's fill 1/48 of theirs) is
+        decoded from the walk's own box instead."""
+        if not self.x:
+            return self.ring._make({})
+        done, bits, lat = self.done, self.bits, self.lat
+        ext = [n + done * b for n, b in zip(self.kept, self.spans)]
+        size = prod(self.widths)
+        data = _reducer(self.m, bits, size)(self.x).to_bytes(size * bits // 8, _ORDER)
+        if not lat:
+            if self.widths[1:] != ext[1:]:
+                data = _restride(data, self.widths, ext, bits // 8, [0] * len(ext), ext)
+            return _born(self.ring, self.shift, ext, bits, data[:prod(ext) * bits // 8])
+        (clo, cw, _), (blo, bw, _) = _box(self.start), _box(self.ring)
+        lo = [c + done * b for c, b in zip(clo, blo)]
+        wide = [w + done * (v - 1) for w, v in zip(cw, bw)]
+        slots = _values(data, bits)
+        counts = len(slots) - slots.count(0), sum(slots)
+        if counts[0] * SPARSE < prod(wide):  # too sparse for Z^d: decoded in the lattice
+            index = list(compress(count(), slots))
+            columns = [[i // s % w for i in index] for w, s in zip(self.widths, self.strides)]
+            exps = _points(lat, self.shift, columns)
+            return self.ring._make(dict(zip(zip(*exps), compress(slots, slots))))
+        zs, basis, last = _strides(wide), lat[0], lat[0][-1]
+        steps = [sum(map(mul, row, zs)) for row in basis]  # Z^d index per coordinate
+        # each row's first exponent, less lo, and its slot in the walk
+        starts = [(list(map(sub, self.shift, lo)), 0)]
+        for row, s, n in zip(basis, self.strides, ext[:-1]):
+            starts = [([a + x * b for a, b in zip(e, row)], at + x * s)
+                      for e, at in starts for x in range(n)]
+        clip, rows = list(zip(last, wide)), []
+        for e, at in starts:  # its last coordinates whose exponents lie in the box
+            t0, t1 = 0, ext[-1]
+            for a, (b, w) in zip(e, clip):
+                if b > 0:
+                    t0, t1 = max(t0, -(a // b)), min(t1, (w - 1 - a) // b + 1)
+                elif b < 0:
+                    t0, t1 = max(t0, -((a - w + 1) // b)), min(t1, a // -b + 1)
+                elif not 0 <= a < w:
+                    t1 = t0
+            if t0 < t1:
+                rows.append((at + t0, sum(map(mul, e, zs)) + t0 * steps[-1], t1 - t0))
+        return _born(self.ring, lo, wide, bits, _scatter(data, bits, prod(wide), rows, steps[-1]),
+                     counts)
 
 
 def _packed_walk(cur, base, steps, keep=None):
@@ -805,7 +1143,11 @@ def _packed_walk(cur, base, steps, keep=None):
     weight = sum(base._coeffs.values())
     bits = _slot((m - 1) * weight)
     lat = _lattice(base) if steps > 1 else ()
-    frame = _frame(cur, lat)
+    if "len" in cur._cache and not lat:  # born from slots: its box, no map
+        lo, widths, _ = cur._cache["box"]
+        frame = lo, None, lo, [w - 1 for w in widths]
+    else:
+        frame = _frame(cur, lat)
     base_frame = _frame(base, lat)
     spans = list(zip(frame[3], base_frame[3]))
     if steps == 1 and len(cur) * len(base) < prod(s + b + 1 for s, b in spans):
@@ -890,9 +1232,11 @@ def constant_term_of_product(factors) -> int:
     """Constant term of the product of several polynomials.
 
     Expands all factors but the largest, then takes the dot product
-    sum_e A(e) * B(-e) against the largest factor, iterating the shorter
-    side.  This avoids materializing the full product when only its constant
-    term is wanted; a vanishing partial product returns 0 at once.
+    sum_e A(e) * B(-e) against the largest factor: on their slots mod m when
+    both were born from them (`_packed_dot`), else iterating the shorter
+    coefficient map.  This avoids materializing the full product when only
+    its constant term is wanted; a vanishing partial product returns 0 at
+    once.
     """
     factors = list(factors)
     if not factors:
@@ -910,6 +1254,10 @@ def constant_term_of_product(factors) -> int:
         if not acc:  # ghost factors often vanish mod p**K
             return 0
         acc = acc * f
+    if not acc:
+        return 0
+    if "len" in acc._cache and "len" in big._cache:
+        return _packed_dot(acc, big)
     a, b = sorted((acc._coeffs, big._coeffs), key=len)  # iterate the shorter
     total = 0
     for e, c in a.items():
@@ -923,7 +1271,8 @@ def constant_term_of_product(factors) -> int:
 
 def _box(f):
     """(lo, widths, weight) of f != 0: a box lo <= e < lo + widths holding
-    its support, and the sum of its residues; cached with f."""
+    its support, and the sum of its residues; cached with f (a value born
+    from slots is born with it)."""
     if "box" not in f._cache:
         columns = list(zip(*f._coeffs))
         lo = [min(c) for c in columns]
@@ -934,14 +1283,17 @@ def _box(f):
 
 def _slot_data(f, bits):
     """f's residues in slots of `bits` bits over its box, row-major, as
-    bytes; packed from the coefficient map once per width, cached with f."""
+    bytes; cached with f per width: packed from the coefficient map, or
+    re-laid from the slots f was born from (`_rewidth`)."""
     data = f._cache
     if bits not in data:
+        if "bits" in data:
+            data[bits] = _rewidth(data[data["bits"]], data["bits"], bits)
+            return data[bits]
         lo, widths, _ = _box(f)
-        strides = [prod(widths[i + 1:]) for i in range(len(widths))]
+        strides = _strides(widths)
         index = [sum(map(mul, map(sub, e, lo), strides)) for e in f._coeffs]
-        data[bits] = _pack(f._coeffs.values(), bits, index).to_bytes(
-            prod(widths) * bits // 8, _ORDER)
+        data[bits] = _data(f._coeffs.values(), bits, index, prod(widths))
     return data[bits]
 
 
@@ -962,7 +1314,7 @@ def _restride(data, widths, new, size, lo=None, keep=None):
     (default: 0) on move to slot 0 on.  One slice per row, the rows joined
     by the zeros between them; data itself when only the first coordinate
     differs."""
-    if lo is None and widths[1:] == new[1:]:
+    if lo is None and widths[1:] == new[1:] or lo == [0] * len(widths) and keep == widths:
         return data
     lo, keep, view, last = lo or [0] * len(widths), keep or widths, memoryview(data), len(new) - 1
     src = [prod(widths[i + 1:]) * size for i in range(last + 1)]
@@ -981,6 +1333,10 @@ def _restride(data, widths, new, size, lo=None, keep=None):
     return block(at, 0) if last else view[at:at + row]
 
 
+# Box slots per term over which a value born from slots is decoded at birth:
+# its box then costs more to carry than its terms (SIMPLEX3's powers fill
+# 1/48 of their Z^3 boxes; Apery's ghost terms at p = 3 fill 1/76 to all)
+SPARSE = 32
 # Box slots of a packed Cartier product that cost about as much as one term
 # pair of its dict route (U_p of the Apery products at p = 2, 3, 5 ran
 # fastest packed from 32 to 128, those of x1+x2+x3+1/(x1*x2*x3) at p = 5,
@@ -988,31 +1344,22 @@ def _restride(data, widths, new, size, lo=None, keep=None):
 PAIR_SLOTS = 64
 
 
-def cartier_of_product(factors, p):
-    """U_p of the product of the factors: its terms with every exponent in
-    pZ^d, each exponent divided by p.  This is the Cartier operator of Dwork
-    theory, and CT(A(x) * B(x**p)) == CT(U_p(A) * B).
-
-    Mod m the factors are one Kronecker product in Z^d, the heaviest first,
-    in slots that hold m-1 times the weight of any other, reduced before a
-    factor could overflow them.  Only the slots on pZ^d are decoded, one
-    array slice per kept row.  Each factor is packed once per slot width
-    (`_slot_data`) and the result comes packed.  Exact coefficients, and a product whose
-    term pairs on pZ^d are fewer than its box's slots / PAIR_SLOTS, take the
-    dict multiply: all factors but the longest, then only the pairs with the
-    longest that land on pZ^d, found by its terms' classes mod p."""
-    factors = sorted(factors, key=len)
-    ring, d, m = factors[0], factors[0].arity, factors[0].modulus
-    for f in factors[1:]:
-        ring._same_ring(f)
-    if not ring or m is None:
-        return _cartier_dict(factors, p)
+def _product_box(factors):
+    """(lo, wide): the box of the product of the nonzero factors, the sum of
+    their boxes."""
     boxes = [_box(f) for f in factors]
     lo = [sum(c) for c in zip(*(box[0] for box in boxes))]
     wide = [sum(c) - len(factors) + 1 for c in zip(*(box[1] for box in boxes))]
-    if prod(map(len, factors)) * PAIR_SLOTS < prod(wide) * p**d:
-        return _cartier_dict(factors, p)
-    boxes, factors = zip(*sorted(zip(boxes, factors), key=lambda bf: -bf[0][2]))
+    return lo, wide
+
+
+def _kronecker(factors, wide):
+    """The product of the nonzero factors mod m as one Kronecker product
+    over their box `wide` (`_product_box`), the heaviest first, in slots
+    that hold m-1 times the weight of any other, reduced before a factor
+    could overflow them: (x, bits, top), top bounding x's slots."""
+    m = factors[0].modulus
+    boxes, factors = zip(*sorted(((_box(f), f) for f in factors), key=lambda bf: -bf[0][2]))
     bits = _slot((m - 1) * max([box[2] for box in boxes[1:]], default=1))
     size, reduce, x = bits // 8, None, None
     for (_, widths, weight), f in zip(boxes, factors):
@@ -1024,25 +1371,48 @@ def cartier_of_product(factors, p):
             reduce = reduce or _reducer(m, bits, prod(wide))
             x, top = reduce(x), m - 1
         x, top = x * y, top * weight
+    return x, bits, top
+
+
+def cartier_of_product(factors, p):
+    """U_p of the product of the factors: its terms with every exponent in
+    pZ^d, each exponent divided by p.  This is the Cartier operator of Dwork
+    theory, and CT(A(x) * B(x**p)) == CT(U_p(A) * B).
+
+    Mod m the factors are one Kronecker product in Z^d (`_kronecker`), read
+    from their slots (`_slot_data`: a value born from slots gives its own),
+    and the result is born from the slots on pZ^d, one array slice per kept
+    row.  Exact coefficients, and a product whose term pairs on pZ^d are
+    fewer than its box's slots / PAIR_SLOTS (but for one factor born from
+    slots, of which U_p is a slice), take the dict multiply: all
+    factors but the longest, then only the pairs with the longest that land
+    on pZ^d, found by its terms' classes mod p."""
+    factors = sorted(factors, key=len)
+    ring, d, m = factors[0], factors[0].arity, factors[0].modulus
+    for f in factors[1:]:
+        ring._same_ring(f)
+    if not ring:
+        return ring._make({})
+    if m is None:
+        return _cartier_dict(factors, p)
+    lo, wide = _product_box(factors)
+    sliced = len(factors) == 1 and "len" in ring._cache  # U_p slices its slots
+    if not sliced and prod(map(len, factors)) * PAIR_SLOTS < prod(wide) * p**d:
+        return _cartier_dict(factors, p)
+    x, bits, top = _kronecker(factors, wide)
     slots = _slots(x, bits, prod(wide))
     first = [-l % p for l in lo]
     kept_widths = [len(range(f, w, p)) for f, w in zip(first, wide)]
-    strides = [prod(wide[i + 1:]) for i in range(d)]
+    strides = _strides(wide)
     kept = slots[:0]
     for u in product(*(range(f, w, p) for f, w in zip(first[:-1], wide[:-1]))):
         at = sum(map(mul, u, strides)) + first[-1]
         kept += slots[at:at - first[-1] + wide[-1]:p]
+    data = _data(kept, bits)
     if top >= m:  # reduce the kept slots only
-        kept = _slots(_reducer(m, bits, len(kept))(_pack(kept, bits)), bits, len(kept))
-    kept_lo = [(l + f) // p for l, f in zip(lo, first)]
-    index = list(compress(count(), kept))
-    columns = [[i // s % w + l for i in index] for w, s, l in
-               zip(kept_widths, [prod(kept_widths[i + 1:]) for i in range(d)], kept_lo)]
-    out = ring._make(dict(zip(zip(*columns), compress(kept, kept))))
-    if out and bits in _TYPECODES:
-        out._cache["box"] = kept_lo, kept_widths, sum(kept)
-        out._cache[bits] = kept.tobytes()
-    return out
+        data = _reducer(m, bits, len(kept))(int.from_bytes(data, _ORDER)).to_bytes(
+            len(data), _ORDER)
+    return _born(ring, [(l + f) // p for l, f in zip(lo, first)], kept_widths, bits, data)
 
 
 def _cartier_dict(factors, p):
@@ -1073,6 +1443,8 @@ class PowerCache:
     `constant_terms` walks on from the largest power saved at or below the
     last known one -- mark first, then ask for constant terms, and the whole
     cache fills in a single sweep.  A walk is trimmed after its last save.
+    Mod p**K every saved power, and the base once `power(1)` hands it out,
+    is born from slots (`_born`); a walk over Z^d starts from their slots.
     """
 
     def __init__(self, base: LaurentPoly):
@@ -1091,6 +1463,8 @@ class PowerCache:
             raise ValueError("power index must be non-negative")
         if n not in self._saved:
             self._sweep(n - 1, n, (n,))
+        if n == 1:  # the base, born from slots like the powers a walk saves
+            self._saved[1] = _as_born(self._saved[1])
         return self._saved[n]
 
     def constant_terms(self, N: int) -> list:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dworkcong import ghost
+from dworkcong import ghost, laurent
 from dworkcong.congruence import GUARD, run_lemma_suite
 from dworkcong.ghost import (
     GhostCalculator,
@@ -24,7 +24,7 @@ from dworkcong.ghost import (
     reconstruct_b,
     tuple_ghost_product,
 )
-from dworkcong.laurent import LaurentPoly, constant_term_sequence
+from dworkcong.laurent import LaurentPoly, constant_term_of_product, constant_term_sequence
 from dworkcong.polyparse import parse_poly
 
 APERY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
@@ -402,3 +402,71 @@ def test_fold_states_are_keyed_by_level():
     for (level, factors), state in calc._states.items():
         assert factors and all(f[0] <= level for f in factors)
         assert isinstance(state, LaurentPoly)
+
+
+# -- the fold on values born from slots ---------------------------------------
+
+
+def as_dict(f):
+    """f with its coefficient map built from its terms: never born from slots."""
+    return LaurentPoly(f.arity, dict(f.terms()), p=f.p, K=f.K)
+
+
+def top_operands(calc, n):
+    """The operands of each top constant term c_direct takes for n."""
+    ds = digits_p(n, calc.p)
+    for m in calc._indecomposable(n):
+        factors = tuple(sorted((i - s, s, a) for i, (s, a) in enumerate(zip(m, ds)) if a or s))
+        if factors and all(a for _, _, a in factors):
+            yield calc._operands(factors[-1][0], factors)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("src,d", FOLD_POLYS)
+def test_fold_values_born_from_slots_match_the_dict_route(src, d, p):
+    # the ghost terms R_s(Lam**a), s <= 3, the states and the top constant
+    # terms of the fold, all on values born from slots, against the dict
+    # multiply, the dict difference, U_p by the dict route and the dict dot
+    calc = GhostCalculator(parse_poly(src, d), p=p, K=4)
+    ns = range(p**3 + p if p < 5 else 40)  # through the first n of four digits, or states
+    for n in ns:
+        calc.c_direct(n)
+    assert max(s for _, s in calc._ghost) == (3 if p < 5 else 2)
+    powers = [LaurentPoly.one(d, p=p, K=4)]
+    while len(powers) <= max(a * p**s for a, s in calc._ghost):
+        powers.append(powers[-1]._mul_dict(as_dict(calc.lam)))
+    for (a, s), got in calc._ghost.items():
+        want = powers[a * p**s] - (powers[a * p ** (s - 1)].substitute_power(p) if s else 0)
+        assert got == want, (a, s)
+    # every ghost term is born from slots, but SIMPLEX3's: its Z^3 boxes are
+    # about 48 times its powers' supports, too sparse to carry (SPARSE)
+    assert d == 3 or all("len" in got._cache for got in calc._ghost.values())
+    states = calc._states.items()
+    assert d == 3 or any("len" in state._cache for _, state in states)
+    for (level, factors), state in states:
+        operands = sorted(map(as_dict, calc._operands(level, factors)), key=len)
+        assert state == laurent._cartier_dict(operands, p), (level, factors)
+    tops = [operands for n in ns for operands in top_operands(calc, n)]
+    assert any(len(operands) > 2 for operands in tops) or p == 5  # a one-shot product
+    for operands in tops:
+        want = constant_term_of_product(map(as_dict, operands))
+        assert constant_term_of_product(operands) == want, operands
+
+
+def test_lemma_suite_decodes_no_map_inside_c_direct(monkeypatch):
+    # every value the fold reads is born from slots and read from them: the
+    # ghost terms, the states, the one-shot products and the top dot products
+    decoded, inside = [], []
+    decode, c_direct = laurent._decode, GhostCalculator.c_direct
+    monkeypatch.setattr(laurent, "_decode", lambda *a: decoded.append(bool(inside)) or decode(*a))
+
+    def counted(calc, n):
+        inside.append(n)
+        try:
+            return c_direct(calc, n)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(GhostCalculator, "c_direct", counted)
+    assert run_lemma_suite(apery(), 3, 50).passed
+    assert not any(decoded)

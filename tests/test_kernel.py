@@ -552,9 +552,11 @@ def test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K, costs="priced
     N = 30
     want = [q.constant_term() for q in dict_powers(lam, N)]
     assert constant_term_sequence(lam, N) == want
-    if _packed_walk(lam, lam, N - 1, 0).period < N - 1:  # cuts come with reductions
+    spans = _frame(lam, _lattice(lam))[3]  # the base's extent in box coordinates
+    if lam.support() == [(0,) * d]:  # a constant base: no window cuts, no re-fit runs
+        assert not fits
+    elif _packed_walk(lam, lam, N - 1, 0).period < N - 1:  # cuts come with reductions
         assert cuts(fits)
-        spans = _frame(lam, _lattice(lam))[3]  # the base's extent in box coordinates
         if costs == "free":
             # every box coordinate that the base spans is cut, beyond the first by a copy
             assert all(n for n, s in zip(moved(fits, d), spans) if s)
@@ -565,6 +567,36 @@ def test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K, costs="priced
 @pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (7, 2), (3, 45)])
 def test_relaid_out_sweeps_match_dict_walk(monkeypatch, src, d, p, K):
     test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K, "free")
+
+
+@pytest.mark.parametrize("src,d", TRIMMED + [(APERY_POLY_SRC, 2)])
+@pytest.mark.parametrize("p,K", [(2, 2), (3, 3), (3, 45)])  # 8, 16, 128 bits
+@pytest.mark.parametrize("N,keep", [(7, 0), (26, 0), (26, 9)])
+def test_first_cut_skips_only_refits_that_cut_nothing(monkeypatch, src, d, p, K, N, keep):
+    # a walk without copies runs no re-fit before its first cut; the same
+    # walk re-fitted at every reduction from step keep on makes the same
+    # cuts, none of them earlier, and reads the same constant terms
+    lam = parse_poly(src, d, p=p, K=K)
+    fits, runs = sweep_trims(monkeypatch), []
+    for skip in (True, False):
+        if not skip:
+            monkeypatch.setattr(_PackedWalk, "_first_cut", lambda walk: walk.keep)
+        walk, cts, start = _packed_walk(lam, lam, N, keep), [], len(fits)
+        for _ in range(N):
+            walk.step()
+            cts.append(walk.constant_term())
+        runs.append((walk.copies, walk.first_cut, fits[start:], cts))
+    (copies, first, skipped, cts), (_, _, every, want) = runs
+    if copies:
+        return
+    assert cts == want
+    changed = [f for f in every if f[3] is not None]
+    assert [f for f in skipped if f[3] is not None] == changed
+    assert all(f[0] <= N - first for f in skipped)  # none before the first cut
+    if first < N:
+        assert changed[0][0] == N - first  # that reduction cuts
+    else:
+        assert not changed and not skipped
 
 
 @pytest.mark.parametrize("src,costs", [
@@ -850,3 +882,113 @@ def test_cartier_identity(ring, arity):
         lhs = (A._mul_dict(B.substitute_power(q))).constant_term()
         assert constant_term_of_product([cartier_of_product([A], q), B]) == lhs
         assert cartier_of_product([A], q) == dict_cartier(A, q)
+
+
+# -- values born from slots -------------------------------------------------------
+
+
+def as_dict(f):
+    """f with its coefficient map built from its terms: never born from slots."""
+    return LaurentPoly(f.arity, dict(f.terms()), p=f.p, K=f.K)
+
+
+def born(f):
+    """f as a value born from its slots; asserted to be one."""
+    out = laurent._as_born(f)
+    assert "len" in out._cache and out is not f
+    return out
+
+
+def _decoded(f):
+    """f's coefficient map if it has one yet, else None."""
+    try:
+        return LaurentPoly._coeffs.__get__(f)
+    except AttributeError:
+        return None
+
+
+BORN_POLYS = [(APERY_POLY_SRC, 2), (CHEB, 1), (TRIANGLE, 2), (SIMPLEX3, 3),
+              # lattice bases with negative entries: rows clipped from both ends
+              ("x1+x2^-1+x1^-1*x2", 2), ("x2^-1+x1*x2+x1^-1*x2^2", 2)]
+
+
+@pytest.mark.parametrize("src,d", BORN_POLYS)
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (5, 2), (3, 45)])  # 8, 16, 128 bits
+def test_born_values_match_the_dict_route(src, d, p, K):
+    # powers saved by a walk (over Z^d and in a lattice basis), one-shot
+    # products, sums, differences and substitutions of values born from
+    # slots equal the dict multiply and the dict sum; none decodes its map
+    lam = parse_poly(src, d, p=p, K=K)
+    cache = PowerCache(lam)
+    cache.mark([2, 3, 5])
+    cache.constant_terms(6)
+    assert all(_decoded(cache._saved[n]) is None for n in (2, 3, 5))
+    want = dict_powers(as_dict(lam), 7)
+    saved = [cache.power(n) for n in range(1, 8)]  # 4, 6 and 7 walked from 3 and 5
+    for n, f in enumerate(saved, 1):
+        # over Z^d a walk starts from a born power's slots; in a lattice
+        # basis it reads its map, as does lam itself when it was born
+        assert _decoded(f) is None or n == 1 or _lattice(lam)
+        assert len(f) == len(want[n]) and bool(f)
+        assert f.constant_term() == want[n].constant_term()
+        assert f.coefficient((n,) + (0,) * (d - 1)) == want[n].coefficient((n,) + (0,) * (d - 1))
+    a, b = saved[2], saved[1]
+    got = [a * b, a * lam, lam * b, a - b, b - a, a + b, a.substitute_power(p), a - a,
+           constant_term_of_product([a, b, saved[0]])]
+    # over Z^d none is sparse for its box (SPARSE), so none is decoded
+    assert all(_decoded(f) is None for f in got[:7] + [b]) or _lattice(lam)
+    assert got[-2] == LaurentPoly.zero(d, p=p, K=K) and not got[-2]
+    A, B, L = want[3], want[2], want[1]
+    assert got[:8] == [A._mul_dict(B), A._mul_dict(L), L._mul_dict(B),
+                       A - B, B - A, A + B, A.substitute_power(p), A - A]
+    assert got[-1] == constant_term_of_product([A, B, want[1]])
+    assert saved == want[1:]
+
+
+@pytest.mark.parametrize("p,K", [(2, 2), (3, 2), (2, 70)])
+def test_born_values_that_vanish_or_empty(p, K):
+    m = p**K
+    a = born(line(2, range(3), p, K))
+    zero = LaurentPoly.zero(1, p=p, K=K)
+    assert a * zero == zero and zero * a == zero and not a * zero
+    assert constant_term_of_product([a, zero]) == 0 == constant_term_of_product([zero, a])
+    assert a - a == zero and (a - a).terms() == []
+    assert cartier_of_product([born(line(1, (1, 2), p, K))], 5) == zero  # none on 5Z
+    c = born(line(m - 1, range(4), p, K))
+    assert c + born(line(1, range(4), p, K)) == zero  # every slot wraps to 0 mod m
+    if p == 2 and K == 2:  # every coefficient of the product is a multiple of 4
+        assert a * born(line(2, range(-2, 1), 2, 2)) == zero
+
+
+@pytest.mark.parametrize("p,K", [(3, 3), (2, 40)])
+def test_sparse_born_products_take_the_dict_route(monkeypatch, p, K):
+    # a one-shot product of values born from slots whose box has over
+    # PAIR_SLOTS slots per term pair is the dict multiply's, as for U_p; a
+    # denser one is one Kronecker product; neither factor is sparse (SPARSE)
+    ring = LaurentPoly.zero(3, p=p, K=K)
+    bits = _slot(p**K - 1)
+
+    def corners(n, c):  # c at two corners of an n x n x n box
+        return laurent._born(ring, [-n // 2, 0, 1], [n, n, n], bits,
+                             laurent._data([c] + [0] * (n**3 - 2) + [c], bits))
+
+    routes = []
+    mul_dict = LaurentPoly._mul_dict
+    monkeypatch.setattr(LaurentPoly, "_mul_dict",
+                        lambda a, b: routes.append((len(a), len(b))) or mul_dict(a, b))
+    for n, route in ((4, True), (2, False)):  # 4 * 64 pairs against 7**3 or 3**3 slots
+        a, b = corners(n, 1), corners(n, p**K - 2)
+        assert _decoded(a) is None and _decoded(b) is None and len(a) == 2
+        got = a * b
+        assert bool(routes) == route
+        assert got == mul_dict(as_dict(a), as_dict(b))
+        routes.clear()
+
+
+@pytest.mark.parametrize("bits,new", [(8, 16), (16, 8), (8, 64), (64, 128), (128, 16),
+                                      (192, 128), (32, 32)])
+def test_slot_widths_convert(bits, new):
+    rng = random.Random(bits + new)
+    values = [rng.randrange(256) for _ in range(37)] + [0, 255]
+    data = laurent._data(values, bits)
+    assert list(laurent._values(laurent._rewidth(data, bits, new), new)) == values
