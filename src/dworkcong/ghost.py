@@ -28,16 +28,34 @@ state by about p in every coordinate.  A state depends only on the factors
 at or below its level, so a calculator memoizes it on its level and those
 (level, m_i, n_i): tuples and n that agree up to a level share its state.
 
+The fold runs on scaled values, each at the precision it can still reach.
+Every coefficient of R_s(F) is divisible by p**s, so G_s = R_s / p**s is an
+integer polynomial, and a product of factors whose s sum to v is p**v times
+the product of their G's.  U_p is Z-linear, so it commutes with that p**v:
+the state of factors whose s sum to v is p**v times the fold of their G's,
+and the top of tuple m adds p**|m| * CT(...) to c_n.  So mod p**K the fold
+needs each G_s only mod p**(K - s) (each residue of R_s mod p**K divided
+by p**s, exactly), each state only mod p**(K - v), and each top constant
+term only mod p**(K - |m|); the tuples the fold reads have |m| < K, since
+R[n, m] == 0 mod p**|m| (the weight filter of `_indecomposable`).  A
+state's operands are reduced to p**(K - v) before their product: fewer
+digits mean narrower slots, and the Kronecker products are most of the
+fold's time.  A top constant term, one dot product or a short one-shot
+product, reads its operands as held, mod p**K.  An exact calculator folds
+the same G's, exactly.
+
 Mod p**K the fold runs on values born from slots (`laurent._born`): the
 powers Lam**(a*p**s) its walk keeps, the ghost terms formed from them by
-`substitute_power` and `-`, the states `cartier_of_product` returns and
-the one-shot products of `constant_term_of_product` hold their Z^d box and
-slot bytes, and each product, difference and top constant term reads those
-slots.  No coefficient map is decoded unless a caller reads one -- `terms`,
-`coefficient` of more than one slot, `==`, printing, the per-tuple oracle
-`tuple_product` -- or a value is too sparse for its box (`laurent.SPARSE`;
-the Z^3 powers of x1+x2+x3+1/(x1*x2*x3) fill about 1/48 of theirs), which
-is decoded when it is formed.  Exact coefficients stay on the dict route.
+`substitute_power` and `-`, their scaled forms (`_rescaled`: one division
+and one reduction of the packed integer), the states `cartier_of_product`
+returns and the one-shot products of `constant_term_of_product` hold their
+Z^d box and slot bytes, and each product, difference and top constant term
+reads those slots.  No coefficient map is decoded unless a caller reads
+one -- `terms`, `coefficient` of more than one slot, `==`, printing, the
+per-tuple oracle `tuple_product` -- or a value is too sparse for its box
+(`laurent.SPARSE`; the Z^3 powers of x1+x2+x3+1/(x1*x2*x3) fill about 1/48
+of theirs), which is decoded when it is formed and rescaled on its map.
+Exact coefficients stay on the dict route.
 
 The same c_n can be recovered without any polynomial arithmetic from the
 block-partition identity
@@ -59,8 +77,9 @@ from __future__ import annotations
 
 from math import prod
 
-from .laurent import (WALK_BUDGET, LaurentPoly, PowerCache, _check_work, _slot,
-                      _spans, cartier_of_product, constant_term_of_product)
+from .laurent import (_ORDER, WALK_BUDGET, LaurentPoly, PowerCache, _born,
+                      _check_work, _reducer, _rewidth, _slot, _spans,
+                      cartier_of_product, constant_term_of_product)
 from .padic import PadicInt, _context_modulus
 
 
@@ -158,10 +177,11 @@ def enumerate_indecomposable(k: int):
 
 # -- ghost calculator ---------------------------------------------------------
 
-# Walk slot-words per slot-word of a fold product: a product of two large
-# packed operands and its decoding took 34 to 90 ns per slot-word of its box
-# (check lemma at p = 2, 3, 5 on a 2-core x86-64 host), a walk step 20 to 24.
-FOLD_COST = 4
+# Walk slot-words per slot-word of a fold product: the scaled fold took 6 to
+# 66 ns per slot-word of `_check_fold_work`'s estimate (check lemma at
+# p = 2, 3, 5, n up to 728, on a 2-core x86-64 host; 66 at p = 5 to 624), a
+# walk step 20 to 24.
+FOLD_COST = 3
 
 
 class GhostCalculator:
@@ -193,6 +213,9 @@ class GhostCalculator:
         self._powers = PowerCache(lam)
         self._level = 0
         self._ghost = {}
+        self._scaled = {}  # (digit, s, top) -> R_s(Lam**digit) / p**s (`_scaled_ghost`)
+        self._rings = {}  # precision -> the zero of its ring, which values rescale to
+        self._held = self._ring(0)  # the ring of the top constant terms
         self._shifted = {}
         self._tuples = {}  # length k -> the indecomposable tuples of S_k
         self._states = {}  # (level, factors at or below it) -> folded state
@@ -288,37 +311,40 @@ class GhostCalculator:
             self._tuples[k] = [m for m in enumerate_tuples(k, self.K) if is_indecomposable(m)]
         return self._tuples[k]
 
-    def _check_fold_work(self, n_max: int):
+    def _check_fold_work(self, n_max: int) -> int:
         """Refuse c_n for every n <= n_max, mod p**K, when the fold's
         estimated slot-words are over laurent's WALK_BUDGET, before any ghost
-        work.  For the n of k digits, each tuple c_direct reads is priced at
-        digits p - 1: every level product is its box, the state's plus its
-        factors', in words of its slot width.  A product below the top is
+        work; else return the estimate.  For the n of k digits, each tuple
+        c_direct reads is priced at digits p - 1: every level product is its
+        box, the state's plus its factors', in words of its scaled slot
+        width, that of (p**(K - v) - 1)**2 times its slots, v the sum of s
+        over the factors at or below its level.  A product below the top is
         counted once per set of operands (the states are memoized: at most
         p**f of them for f factors at or below its level, and at most one
         per n); the top, once per n.  The sum stops once over the budget."""
         if self.K is None:
             raise ValueError("the ghost layer is priced mod p**K only")
-        p, m = self.p, self.lam.modulus
+        p, K = self.p, self.K
         spans, work, k = _spans(self.lam), 0, 1
         while work <= WALK_BUDGET and p ** (k - 1) <= n_max:
             count = min(p**k - 1, n_max) - (p ** (k - 1) if k > 1 else 0) + 1
             for t in self._indecomposable(p ** (k - 1)):
                 levels = [i - s for i, s in enumerate(t)]
-                state, seen, top = [0] * len(spans), 0, max(levels)
+                state, seen, v, top = [0] * len(spans), 0, 0, max(levels)
                 for j in range(top + 1):
                     box = list(state)
                     for level, s in zip(levels, t):
                         if level == j:
                             box = [b + (p - 1) * p**s * x for b, x in zip(box, spans)]
-                            seen += 1
+                            seen, v = seen + 1, v + s
                     slots = prod(b + 1 for b in box)
                     times = count if j == top else min(count, p**seen)
-                    words = -(-_slot((m - 1) ** 2 * slots) // 64)
+                    words = -(-_slot((p ** (K - v) - 1) ** 2 * slots) // 64)
                     work += FOLD_COST * times * slots * words
                     state = [b // p for b in box]
             k += 1
         _check_work(work, "ghost layer")
+        return work
 
     def indecomposable_sum(self, n: int) -> LaurentPoly:
         """I_n: the sum of R[n, m] over indecomposable m; I_0 = 1."""
@@ -331,10 +357,10 @@ class GhostCalculator:
 
     def c_direct(self, n: int) -> int:
         """Constant term of I_n, without materializing any tuple product:
-        each tuple of `indecomposable_sum` is folded level by level (module
-        docstring).  Factor i of R[n, m] sits at level i - m_i; a zero digit
-        gives R_0(Lam**0) = 1, which drops out, or R_s(Lam**0) = 0, s >= 1,
-        which drops the tuple."""
+        each tuple of `indecomposable_sum` is folded level by level on the
+        scaled ghost terms (module docstring).  Factor i of R[n, m] sits at
+        level i - m_i; a zero digit gives R_0(Lam**0) = 1, which drops out,
+        or R_s(Lam**0) = 0, s >= 1, which drops the tuple."""
         if n < 0:
             raise ValueError("n must be non-negative")
         ds = digits_p(n, self.p)
@@ -345,27 +371,91 @@ class GhostCalculator:
             if not factors:  # n = 0: I_0 = 1
                 total += 1
             elif all(a for _, _, a in factors):
-                total += constant_term_of_product(self._operands(factors[-1][0], factors))
+                top = self._operands(factors[-1][0], factors, True)
+                total += self.p ** sum(m) * constant_term_of_product(top)
         if self.K is not None:
             total %= self.lam.modulus
         return total
 
-    def _operands(self, level, factors):
-        """The ghost terms of the (level, s, digit) factors at `level`, and
-        the state of those below it, if any."""
+    def _ring(self, v):
+        """The zero of the ring a value of valuation v is held in: Z/p**(K - v),
+        or Z for an exact calculator."""
+        K = None if self.K is None else self.K - v
+        if K not in self._rings:
+            self._rings[K] = LaurentPoly.zero(self.lam.arity, p=self.lam.p, K=K)
+        return self._rings[K]
+
+    def _scaled_ghost(self, s: int, a: int, top=False) -> LaurentPoly:
+        """R_s(Lam**a) / p**s, mod p**(K - s) for a modular calculator; for a
+        top constant term, the same residues held mod p**K."""
+        key = (a, s, top)
+        got = self._scaled.get(key)
+        if got is None:
+            if top:
+                got = _rescaled(self._scaled_ghost(s, a), self._held)
+            else:
+                got = _rescaled(self.ghost_term(s, a), self._ring(s), self.p**s)
+            self._scaled[key] = got
+        return got
+
+    def _operands(self, level, factors, top=False):
+        """The scaled ghost terms of the (level, s, digit) factors at `level`,
+        and the scaled state of those below it, if any, reduced mod
+        p**(K - v), v the sum of s over the factors: the precision of their
+        product.  For a top constant term, whose cost the modulus hardly
+        moves, each as held, mod p**K."""
         below = tuple(f for f in factors if f[0] < level)
-        out = [self.ghost_term(s, a) for j, s, a in factors if j == level]
-        return out + [self._state(level - 1, below)] if below else out
+        out = [self._scaled_ghost(s, a, top) for j, s, a in factors if j == level]
+        if top:
+            return out + [_rescaled(self._state(level - 1, below), self._held)] if below else out
+        if below:
+            out.append(self._state(level - 1, below))
+        ring = self._ring(sum(s for _, s, _ in factors))
+        return [_rescaled(f, ring) for f in out]
 
     def _state(self, level, factors) -> LaurentPoly:
-        """U_p of (the product of the factors at `level` times the state
-        below), the factors all at or below `level`; memoized on both."""
+        """U_p of (the product of the scaled factors at `level` times the
+        state below), the factors all at or below `level`, mod p**(K - v),
+        v the sum of their s; memoized on both."""
         key = (level, factors)
         got = self._states.get(key)
         if got is None:
             got = cartier_of_product(self._operands(level, factors), self.p)
             self._states[key] = got
         return got
+
+
+def _rescaled(f, ring, q=1):
+    """f / q in `ring`, every coefficient of f divisible by q: mod ring's
+    modulus, at most f's over q, or exactly; or, in a wider ring, f's own
+    residues, its slots and packings shared.  A value born from slots
+    divides its packed integer by q, one division for every slot at once,
+    is reduced by `_reducer` unless its weight shows no slot can reach the
+    modulus, and is re-laid in the narrower width (`_rewidth`); a
+    coefficient map is rescaled in one pass.  Cached with f per ring and q."""
+    if q == 1 and f.K == ring.K:
+        return f
+    key, cache = (ring.K, q), f._cache
+    got = cache.get(key)
+    if got is None:
+        m = ring.modulus
+        if q == 1 and ring.K > f.K:  # a wider ring holds the residues as they are
+            got = ring._make(None if "len" in cache else f._coeffs, cache)
+        elif "len" in cache:
+            lo, widths, weight = cache["box"]
+            bits = cache["bits"]
+            data = cache[bits]
+            x, counts = int.from_bytes(data, _ORDER) // q, (len(f), weight // q)
+            if counts[1] >= m:
+                x, counts = _reducer(m, bits, len(data) * 8 // bits)(x), None
+            new = _slot(m - 1)
+            data = _rewidth(x.to_bytes(len(data), _ORDER), bits, new)
+            got = _born(ring, lo, widths, new, data, counts)
+        else:
+            got = ring._make({e: r for e, c in f._coeffs.items() if (r := c // q % m)}
+                             if m else {e: c // q for e, c in f._coeffs.items()})
+        cache[key] = got
+    return got
 
 
 # -- spec-level convenience wrappers ------------------------------------------

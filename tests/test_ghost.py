@@ -288,9 +288,10 @@ def test_c_direct_examples():
 
 
 def test_c_direct_matches_full_constant_term():
-    calc = GhostCalculator(apery(), p=2, K=6)
-    for n in range(0, 16):
-        assert calc.c_direct(n) == calc.indecomposable_sum(n).constant_term()
+    # mod 2**6, and exactly: an exact calculator folds R_s / p**s too
+    for calc in (GhostCalculator(apery(), p=2, K=6), GhostCalculator(apery(), p=2)):
+        for n in range(0, 16):
+            assert calc.c_direct(n) == calc.indecomposable_sum(n).constant_term()
 
 
 def test_c_from_b_examples():
@@ -346,8 +347,8 @@ def lemma_calculator(lam, p, n_max):
 
 def test_ghost_work_budget():
     # admitted: the bench's and criterion 05's lemma runs, p = 2 to 200 and
-    # the scale probe p = 3 to 242 (about 2 s each on a 2-core x86-64 host);
-    # refused: p = 2 to 500 (about 1.3e9 slot-words) and p = 2 to 10**4000
+    # the scale probe p = 3 to 242 (about 1 s each on a 2-core x86-64 host);
+    # refused: p = 2 to 500 (1.001e9 slot-words) and p = 2 to 10**4000
     lam = apery()
     for p, n_max in [(2, 15), (2, 63), (3, 50), (3, 80), (5, 124), (2, 100),
                      (2, 200), (3, 242)]:
@@ -357,6 +358,32 @@ def test_ghost_work_budget():
             lemma_calculator(lam, p, n_max)._check_fold_work(n_max)
     with pytest.raises(ValueError, match="mod p"):  # an exact calculator
         GhostCalculator(lam, p=2)._check_fold_work(10)
+
+
+def kronecker_work(monkeypatch):
+    """Counts the slot-words of every Kronecker product: its box's slots
+    times the 64-bit words of its slot width."""
+    count, kronecker = [0], laurent._kronecker
+
+    def counted(factors, wide):
+        x, bits, top = kronecker(factors, wide)
+        count[0] += math.prod(wide) * -(-bits // 64)
+        return x, bits, top
+
+    monkeypatch.setattr(laurent, "_kronecker", counted)
+    return count
+
+
+@pytest.mark.parametrize("p,n_max", [(3, 50), (2, 15), (3, 242)])  # the bench ops, a probe
+def test_fold_estimate_bounds_the_products_counted(monkeypatch, p, n_max):
+    # the estimate prices every n at digits p - 1, every state product once
+    # per set of digits, and FOLD_COST walk slot-words to a fold slot-word,
+    # so it is at most 64 times the slot-words of the Kronecker products the
+    # fold forms (48, 22 and 24 times on these three)
+    estimate = lemma_calculator(apery(), p, n_max)._check_fold_work(n_max)
+    count = kronecker_work(monkeypatch)
+    assert run_lemma_suite(apery(), p, n_max).passed
+    assert 0 < count[0] <= estimate <= 64 * count[0], (count, estimate)
 
 
 def per_tuple_c(calc, n):
@@ -413,44 +440,99 @@ def as_dict(f):
 
 
 def top_operands(calc, n):
-    """The operands of each top constant term c_direct takes for n."""
+    """The operands of each top constant term c_direct takes for n, with the
+    sum of s over its factors."""
     ds = digits_p(n, calc.p)
     for m in calc._indecomposable(n):
         factors = tuple(sorted((i - s, s, a) for i, (s, a) in enumerate(zip(m, ds)) if a or s))
         if factors and all(a for _, _, a in factors):
-            yield calc._operands(factors[-1][0], factors)
+            yield calc._operands(factors[-1][0], factors, True), sum(m)
+
+
+def lifted(f, v, K):
+    """p**v * f mod p**K, f over the same p: a scaled value back in Z/p**K."""
+    return LaurentPoly(f.arity, {e: f.p**v * c for e, c in f.terms()}, p=f.p, K=K)
+
+
+def unscaled_state(calc, level, factors, memo):
+    """The state of the unscaled fold, mod p**K, by the dict route: U_p of
+    the product of R_s(Lam**a) at `level` and the state below, as dicts."""
+    key = (level, factors)
+    if key not in memo:
+        below = tuple(f for f in factors if f[0] < level)
+        operands = [as_dict(calc.ghost_term(s, a)) for j, s, a in factors if j == level]
+        if below:
+            operands.append(unscaled_state(calc, level - 1, below, memo))
+        memo[key] = laurent._cartier_dict(sorted(operands, key=len), calc.p)
+    return memo[key]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("src,d", FOLD_POLYS)
 def test_fold_values_born_from_slots_match_the_dict_route(src, d, p):
-    # the ghost terms R_s(Lam**a), s <= 3, the states and the top constant
-    # terms of the fold, all on values born from slots, against the dict
-    # multiply, the dict difference, U_p by the dict route and the dict dot
-    calc = GhostCalculator(parse_poly(src, d), p=p, K=4)
+    # the ghost terms R_s(Lam**a), s <= 3, their scaled forms R_s / p**s, the
+    # states and the top constant terms of the fold, mostly on values born
+    # from slots, against the dict multiply, the dict difference, U_p by the
+    # dict route and the dict dot
+    K = 4
+    calc = GhostCalculator(parse_poly(src, d), p=p, K=K)
     ns = range(p**3 + p if p < 5 else 40)  # through the first n of four digits, or states
     for n in ns:
         calc.c_direct(n)
     assert max(s for _, s in calc._ghost) == (3 if p < 5 else 2)
-    powers = [LaurentPoly.one(d, p=p, K=4)]
+    powers = [LaurentPoly.one(d, p=p, K=K)]
     while len(powers) <= max(a * p**s for a, s in calc._ghost):
         powers.append(powers[-1]._mul_dict(as_dict(calc.lam)))
     for (a, s), got in calc._ghost.items():
         want = powers[a * p**s] - (powers[a * p ** (s - 1)].substitute_power(p) if s else 0)
         assert got == want, (a, s)
+    # p**s times each scaled ghost term, held mod p**(K - s), is R_s mod p**K
+    for (a, s, top), got in calc._scaled.items():
+        assert got.K == (K if top else K - s) and lifted(got, s, K) == calc._ghost[a, s]
     # every ghost term is born from slots, but SIMPLEX3's: its Z^3 boxes are
     # about 48 times its powers' supports, too sparse to carry (SPARSE)
     assert d == 3 or all("len" in got._cache for got in calc._ghost.values())
     states = calc._states.items()
     assert d == 3 or any("len" in state._cache for _, state in states)
+    # a state is U_p of its operands at its own precision p**(K - v), and
+    # p**v times it is the unscaled fold's state mod p**K
+    memo = {}
     for (level, factors), state in states:
+        v = sum(s for _, s, _ in factors)
         operands = sorted(map(as_dict, calc._operands(level, factors)), key=len)
+        assert state.K == K - v and {f.K for f in operands} == {state.K}
         assert state == laurent._cartier_dict(operands, p), (level, factors)
-    tops = [operands for n in ns for operands in top_operands(calc, n)]
-    assert any(len(operands) > 2 for operands in tops) or p == 5  # a one-shot product
-    for operands in tops:
+        assert lifted(state, v, K) == unscaled_state(calc, level, factors, memo)
+    assert any(state.K < K for _, state in states)
+    tops = [top for n in ns for top in top_operands(calc, n)]
+    assert any(len(operands) > 2 for operands, _ in tops) or p == 5  # a one-shot product
+    for operands, v in tops:
         want = constant_term_of_product(map(as_dict, operands))
         assert constant_term_of_product(operands) == want, operands
+        assert {f.K for f in operands} == {K}
+
+
+def test_rescaled_values_match_their_maps():
+    # f / p**s mod a narrower p**K' on the packed integer (born from slots)
+    # or in one pass (a coefficient map) equals the map route; a wider ring
+    # holds the residues unchanged, sharing f's slots
+    calc = GhostCalculator(apery(), p=3, K=5)
+    for n in range(30):
+        calc.c_direct(n)
+    born = [f for f in calc._ghost.values() if "len" in f._cache]
+    for f in born + [as_dict(f) for f in born]:
+        s = min(v for v in range(4) if any(c % 3 ** (v + 1) for _, c in f.terms()))
+        for K in range(1, 6 - s):
+            ring = LaurentPoly.zero(2, p=3, K=K)
+            got = ghost._rescaled(f, ring, 3**s)
+            want = LaurentPoly(2, {e: c // 3**s for e, c in f.terms()}, p=3, K=K)
+            assert got == want and got is ghost._rescaled(f, ring, 3**s), (K, s)
+            assert ("len" in got._cache) == ("len" in f._cache) or not got
+        wider = ghost._rescaled(ghost._rescaled(f, LaurentPoly.zero(2, p=3, K=2)),
+                                LaurentPoly.zero(2, p=3, K=5))
+        assert wider.K == 5 and wider.terms() == f.reduce_mod(3, 2).terms()
+    exact = LaurentPoly(1, {(1,): 9, (-2,): -27})
+    assert ghost._rescaled(exact, LaurentPoly.zero(1), 9) == LaurentPoly(1, {(1,): 1, (-2,): -3})
 
 
 def test_lemma_suite_decodes_no_map_inside_c_direct(monkeypatch):
