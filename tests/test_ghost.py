@@ -440,13 +440,12 @@ def as_dict(f):
 
 
 def top_operands(calc, n):
-    """The operands of each top constant term c_direct takes for n, with the
-    sum of s over its factors."""
+    """The operands of each top constant term c_direct takes for n."""
     ds = digits_p(n, calc.p)
     for m in calc._indecomposable(n):
         factors = tuple(sorted((i - s, s, a) for i, (s, a) in enumerate(zip(m, ds)) if a or s))
         if factors and all(a for _, _, a in factors):
-            yield calc._operands(factors[-1][0], factors, True), sum(m)
+            yield calc._operands(factors[-1][0], factors, True)
 
 
 def lifted(f, v, K):
@@ -504,9 +503,9 @@ def test_fold_values_born_from_slots_match_the_dict_route(src, d, p):
         assert state == laurent._cartier_dict(operands, p), (level, factors)
         assert lifted(state, v, K) == unscaled_state(calc, level, factors, memo)
     assert any(state.K < K for _, state in states)
-    tops = [top for n in ns for top in top_operands(calc, n)]
-    assert any(len(operands) > 2 for operands, _ in tops) or p == 5  # a one-shot product
-    for operands, v in tops:
+    tops = [operands for n in ns for operands in top_operands(calc, n)]
+    assert any(len(operands) > 2 for operands in tops) or p == 5  # a one-shot product
+    for operands in tops:
         want = constant_term_of_product(map(as_dict, operands))
         assert constant_term_of_product(operands) == want, operands
         assert {f.K for f in operands} == {K}
