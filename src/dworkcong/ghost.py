@@ -75,6 +75,7 @@ length-1 block, the only reading compatible with ell(0) = 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 
 from .laurent import (_ORDER, WALK_BUDGET, LaurentPoly, PowerCache, _born,
@@ -121,6 +122,13 @@ def digit_partitions(n: int, p: int):
     """
     if n < 1:
         raise ValueError("digit partitions are defined for n >= 1")
+    return list(_partitions(n, p))
+
+
+@lru_cache(maxsize=1024)
+def _partitions(n, p):
+    """`digit_partitions` as a tuple, the single block (n,) first; cached per
+    (n, p), as `c_from_b_sequence` and `reconstruct_b` each read every n."""
     ds = digits_p(n, p)
     L = len(ds)
     out = []
@@ -135,7 +143,7 @@ def digit_partitions(n: int, p: int):
             blocks.append(sum(ds[a + j] * p**j for j in range(b - a)))
         if ok:
             out.append(tuple(blocks))
-    return out
+    return tuple(out)
 
 
 # -- tuple combinatorics ----------------------------------------------------
@@ -499,8 +507,7 @@ def _split_sum(c, n: int, p: int) -> int:
     """b_n - c_n by the block-partition identity: the sum over the digit
     partitions of n >= 1 into two or more blocks of prod c[block].  Every
     such block is below n."""
-    return sum(prod(c[blk] for blk in blocks)
-               for blocks in digit_partitions(n, p) if len(blocks) > 1)
+    return sum(prod(c[blk] for blk in blocks) for blocks in _partitions(n, p)[1:])
 
 
 def c_from_b_sequence(b, n_max: int, p: int, K: int) -> list:

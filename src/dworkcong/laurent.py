@@ -27,10 +27,14 @@ multiplication by the base, the better chain when coefficients grow: W. M.
 Gentleman, Math. Comp. 26, 1972) -- is one walk of the running power; a
 monomial's power scales its exponent.  Mod m the walk is packed: a step
 is one shift-and-add per term of the base (one product with the packed base
-beyond SHIFT_ADD_TERMS terms), b_n is read from the origin's slot, slots are
-reduced only before they could overflow and a power is formed only where a
-caller keeps it.  A reduction is one `bytes.translate` for 8-bit slots and a
-Barrett reduction on the packed integer, two slots to a lane, for wider ones.
+beyond SHIFT_ADD_TERMS terms), or per term of each factor in turn when a
+walk over Z^d has a base written as a product (`polyparse`) whose factors'
+residues multiply over Z to its own in fewer passes (`_factored`): the
+Apery polynomial's 2 + 2 + 3 in place of 8, three of them multiplies.
+b_n is read from the origin's slot, slots are reduced only before they
+could overflow and a power is formed only where a caller keeps it.  A
+reduction is one `bytes.translate` for 8-bit slots and a Barrett reduction
+on the packed integer, two slots to a lane, for wider ones.
 Once no power is left to keep, a walk is cut at each reduction: with K
 steps to come, CT(cur * base**j), j <= K, reads cur only on the hull of the
 origin and -K.(base support), so the rows of the first box coordinate
@@ -192,13 +196,17 @@ class LaurentPoly:
         return out
 
     def reduce_mod(self, p, K):
-        """Image in Z/p**K.  From the exact ring, or from the same p with K' >= K."""
+        """Image in Z/p**K.  From the exact ring, or from the same p with K' >= K.
+        The factors a product was written as (`polyparse`) are reduced too."""
         if self.p is not None:
             if self.p != p:
                 raise ValueError(f"cannot move coefficients from p={self.p} to p={p}")
             if self.K < K:
                 raise ValueError(f"cannot raise precision {self.K} to {K}")
-        return LaurentPoly(self.arity, self._coeffs, p=p, K=K)
+        out = LaurentPoly(self.arity, self._coeffs, p=p, K=K)
+        if "factors" in self._cache:
+            out._cache["factors"] = tuple(f.reduce_mod(p, K) for f in self._cache["factors"])
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -833,7 +841,8 @@ def _words(*powers):
 
 
 class _PackedWalk:
-    """The powers cur * base**k, k = 0..steps, kept as one packed integer.
+    """The powers cur * base**k, k = 0..steps, kept as one packed integer;
+    a step multiplies by base, or by each of its `factors` in turn.
 
     The slot at box coordinates u holds the exponent shift + u.B, B the
     lattice basis.  After `done` steps the origin's box coordinates times
@@ -852,11 +861,15 @@ class _PackedWalk:
     coordinate alone, by a mask and a shift.
     """
 
-    def __init__(self, cur, base, lat, frame, base_frame, bits, weight, steps, keep):
+    def __init__(self, cur, base, lat, frame, base_frame, bits, weight, steps, keep,
+                 factors):
         self.m, self.ring, self.lat = base.modulus, base, lat
         self.bits, self.words = bits, -(-bits // 64)
-        # byte-terms of a slot a step: its bytes times the shift-and-adds
-        self.pace = min(len(base), SHIFT_ADD_TERMS) * bits // 8
+        # per factor stepped by: its coordinates as columns, their least and its residues
+        self.factors = [(f_frame[1], f_frame[2], list(f._coeffs.values()))
+                        for f, f_frame in factors]
+        # byte-terms of a slot a step: its bytes times the passes made
+        self.pace = sum(_passes(f) for f, _ in factors) * bits // 8
         # u = (e - shift).X / det, taken with det > 0: the origin's u times
         # det is -shift.X, which a step moves by -base_shift.X
         self.det, self.cols = 1, None
@@ -892,7 +905,6 @@ class _PackedWalk:
         else:
             self.x = _pack(cur._coeffs.values(), bits, self._index(*frame[1:3]))
         self.start = cur  # whose Z^d box plus done times base's holds the power
-        self.base_frame, self.values = base_frame, list(base._coeffs.values())
         self._place_base()
 
     @property
@@ -911,12 +923,15 @@ class _PackedWalk:
         return index
 
     def _place_base(self):
-        """The base's terms as (bit offset, residue) in the box, and the base
-        packed beyond SHIFT_ADD_TERMS terms."""
-        index = self._index(*self.base_frame[1:3])
-        self.terms = [(i * self.bits, c) for i, c in zip(index, self.values)]
-        self.base = (_pack(self.values, self.bits, index)
-                     if len(self.values) > SHIFT_ADD_TERMS else None)
+        """Each factor's terms as (bit offset, residue) in the box, and the
+        base, its one factor then, packed beyond SHIFT_ADD_TERMS terms."""
+        self.passes = []
+        for columns, lo, values in self.factors:
+            index = self._index(columns, lo)
+            # the least offset first, the sum's start: x itself at offset 0
+            terms = sorted((i * self.bits, c) for i, c in zip(index, values))
+            self.passes.append((terms[0], terms[1:]))
+        self.base = _pack(values, self.bits, index) if len(values) > SHIFT_ADD_TERMS else None
 
     def _support_dots(self):
         """The least and largest dot product of the base support with each
@@ -1065,8 +1080,12 @@ class _PackedWalk:
             x = self.reduce(x)
         if self.base is not None:
             self.x = x * self.base
-        else:  # one shift-and-add per term of base
-            self.x = sum((x * c if c > 1 else x) << shift for shift, c in self.terms)
+        else:  # one shift-and-add per term of each factor
+            for (at, c), terms in self.passes:
+                first = x * c if c > 1 else x
+                x = sum(((x * c if c > 1 else x) << shift for shift, c in terms),
+                        first << at if at else first)
+            self.x = x
         return cost
 
     def constant_term(self):
@@ -1149,6 +1168,9 @@ def _packed_walk(cur, base, steps, keep=None):
     else:
         frame = _frame(cur, lat)
     base_frame = _frame(base, lat)
+    factors = [(base, base_frame)]
+    if steps > 1 and not lat and _factored(base, weight):
+        factors = [(f, _frame(f, ())) for f in base._cache["factors"]]
     spans = list(zip(frame[3], base_frame[3]))
     if steps == 1 and len(cur) * len(base) < prod(s + b + 1 for s, b in spans):
         return None
@@ -1157,10 +1179,31 @@ def _packed_walk(cur, base, steps, keep=None):
     if steps * (words + 128) > WALK_BUDGET:  # a slot a step, at the least
         _check_work(work)
     walk = _PackedWalk(cur, base, lat, frame, base_frame, bits, weight, steps,
-                       steps if keep is None else keep)
+                       steps if keep is None else keep, factors)
     if work > WALK_BUDGET:
         _check_work(walk.work())
     return walk
+
+
+def _passes(f):
+    """Passes over the box of a step by f: a shift-and-add per term and one
+    more per residue over 1 (its multiply), or SHIFT_ADD_TERMS for the one
+    product by f packed beyond that many terms."""
+    if len(f) > SHIFT_ADD_TERMS:
+        return SHIFT_ADD_TERMS
+    return len(f) + sum(c > 1 for c in f._coeffs.values())
+
+
+def _factored(base, weight):
+    """Whether a walk over Z^d steps by the factors base was written as
+    (`polyparse`) rather than by base: when their residue weights multiply
+    to its `weight` -- base being x**e times their product mod m and every
+    residue >= 0, their residues then multiply over Z to base's, so box,
+    slots and period stay -- in fewer passes."""
+    factors = base._cache.get("factors")
+    return (factors is not None
+            and prod(sum(f._coeffs.values()) for f in factors) == weight
+            and sum(map(_passes, factors)) < _passes(base))
 
 
 class _DictWalk:

@@ -17,6 +17,12 @@ exact ring, or any unit mod p**K: the divisor's exponent vector is negated
 and its coefficient inverted.  Implicit multiplication ("2x1") is rejected
 with a hint to write '*'.
 
+A product keeps its factors: when a term `A*B*.../m` is x**e times two or
+more factors that are not monomials, with coefficient 1, the expanded
+result notes them (`_keep`), flattened through parentheses and '^' -- a
+packed walk may step by them one after another (`laurent`).  A sum, a
+negation or a coefficient other than 1 keeps none.
+
 Errors are reported as ParseError carrying the byte offset of the offending
 token.  Nesting ('(' and unary '-') is bounded by MAX_DEPTH levels, so a
 deeply nested input is refused before the recursive descent exhausts the
@@ -131,15 +137,17 @@ class _Parser:
 
     def term(self):
         result = self.factor()
+        factors, unit = _split(result)
         while self.peek()[0] in ("*", "/"):
             op, _, oppos = self.advance()
             rhs_pos = self.peek()[2]
             rhs = self.factor()
-            if op == "*":
-                result = result * rhs
-            else:
-                result = result * self._monomial_inverse(rhs, rhs_pos)
-        return result
+            if op == "/":
+                rhs = self._monomial_inverse(rhs, rhs_pos)
+            result = result * rhs
+            more, c = _split(rhs)
+            factors, unit = factors + more, unit * c
+        return _keep(result, factors, unit)
 
     def factor(self):
         if self.peek()[0] == "-":
@@ -191,10 +199,12 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _power(self, base, exponent, pos):
-        if exponent >= 0:
+        if exponent < 0:
+            return self._monomial_inverse(base, pos) ** (-exponent)
+        if len(base) < 2:  # a monomial: its exponent scaled
             return base**exponent
-        inverse = self._monomial_inverse(base, pos)
-        return inverse ** (-exponent)
+        # a walk, priced before the factors repeat
+        return _keep(base**exponent, _split(base)[0] * exponent)
 
     def _monomial_inverse(self, poly, pos):
         if len(poly) != 1:
@@ -223,8 +233,29 @@ class _Parser:
         )
 
 
+def _split(poly):
+    """(factors, coefficient) of poly as x**e times their product: those it
+    keeps, else none for a monomial, whose coefficient is returned, else
+    poly itself."""
+    if "factors" in poly._cache:
+        return list(poly._cache["factors"]), 1
+    if len(poly) > 1:
+        return [poly], 1
+    return [], next(iter(poly._coeffs.values()), 0)
+
+
+def _keep(poly, factors, unit=1):
+    """poly, noting `factors` with it when they are two or more and poly is
+    x**e times their product times `unit`, a coefficient equal to 1."""
+    m = poly.modulus
+    if len(factors) > 1 and (unit == 1 if m is None else unit % m == 1):
+        poly._cache["factors"] = tuple(factors)
+    return poly
+
+
 def parse_poly(src: str, arity: int, p=None, K=None) -> LaurentPoly:
-    """Parse `src` into a fully expanded canonical sparse polynomial."""
+    """Parse `src` into a canonical sparse polynomial, fully expanded; a
+    product also keeps its factors (module docstring)."""
     if not isinstance(arity, int) or not 1 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity}")
     tokens = _tokenize(src)

@@ -19,6 +19,7 @@ from dworkcong import laurent
 from dworkcong.apery import APERY_POLY_SRC, apery_numbers_mod
 from dworkcong.congruence import check_c2
 from dworkcong.laurent import (
+    SHIFT_ADD_TERMS,
     LaurentPoly,
     PowerCache,
     TruncSeries,
@@ -739,7 +740,8 @@ def test_long_base_is_repacked_after_a_copy(monkeypatch, costs):
         walk.step()
         assert walk.constant_term() == powers[-1].constant_term()
         # the packed base in the current box
-        assert walk.base == _pack(walk.values, walk.bits, walk._index(*walk.base_frame[1:3]))
+        ((columns, lo, values),) = walk.factors
+        assert walk.base == _pack(values, walk.bits, walk._index(columns, lo))
     assert copies(fits)  # its steps are dear: copies pay at their price
 
 
@@ -783,6 +785,86 @@ def test_power_cache_sweeps_trim_after_their_last_kept_power(monkeypatch):
     del fits[:]
     assert cache.power(N) == powers[N]  # from power 39, not the trimmed walk
     assert not cuts(fits)
+
+
+# Products the parser keeps the factors of: over Z the Apery polynomial's
+# coefficients reach 3 and the zeta(3) polynomial's 5 (its powers' constant
+# terms are 1, 5, 73, 1445, 33001), so mod p**K above that their factors'
+# residues multiply to the base's, and a walk over Z^d steps by them.
+ZETA3 = "(x1+x2)*(1+x3)*(x1+x2+x3)*(1+x2+x3)/(x1*x2*x3)"
+FACTORED = [(APERY_POLY_SRC, 2, 3, 12), (ZETA3, 3, 5, 6)]
+
+
+def expanded(lam):
+    """lam without the factors it was written as."""
+    return LaurentPoly(lam.arity, dict(lam.terms()), p=lam.p, K=lam.K)
+
+
+def route(lam, steps=8):
+    """The factors a packed walk by lam steps by, as their term counts."""
+    return [len(values) for _, _, values in _packed_walk(lam, lam, steps, 0).factors]
+
+
+@pytest.mark.parametrize("src,d,top,N", FACTORED)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("K", range(1, 7))
+@COSTS
+def test_factored_walks_match_expanded_and_dict(monkeypatch, src, d, top, N, p, K, costs):
+    set_costs(monkeypatch, costs)
+    lam = parse_poly(src, d).reduce_mod(p, K)
+    plain = expanded(lam)
+    factors = [len(f) for f in lam._cache["factors"]]
+    assert route(lam) == (factors if p**K > top else [len(lam)])
+    assert route(plain) == [len(lam)]
+    powers = dict_powers(lam, N)
+    caches = [PowerCache(lam), PowerCache(plain)]
+    for cache in caches:
+        cache.mark(range(2, N + 1, 3))
+        assert cache.constant_terms(N) == [q.constant_term() for q in powers]
+    for n in range(2, N + 1, 3):  # the saved powers, born from slots
+        assert caches[0].power(n) == caches[1].power(n) == powers[n]
+    assert caches[0].power(N + 2) == powers[-1]._mul_dict(lam)._mul_dict(lam)
+
+
+@pytest.mark.parametrize("src,d,p,K,factored,lattice", [
+    (APERY_POLY_SRC, 2, 2, 1, False, False),  # its residue 2 is 0: the weights differ
+    (APERY_POLY_SRC, 2, 2, 2, True, False),
+    ("(1-x1)*(1-x2)", 2, 3, 2, False, False),  # (m-1)**2 wraps mod m
+    ("(1+x1)*(1+x2)", 2, 3, 2, False, False),  # 4 passes either way
+    ("(x1+x1^-1)^3", 1, 3, 2, False, True),  # 6 passes either way
+    ("(1+x1)*(1-x1)", 1, 3, 2, False, True),  # 1 - x1**2: more factor passes than terms
+    ("(x1+x1^-1)*(x1+x1^-1)*(x2+x2^-1)", 2, 3, 2, False, True),  # 6 passes against 8
+    # 1 + (m-1)x1 times 1 + x2 is the base over Z: 3 + 2 passes against 6
+    ("(1-x1)*(1+x2)", 2, 3, 2, True, False),
+])
+def test_factored_route_needs_the_product_over_z(src, d, p, K, factored, lattice):
+    N = 20
+    lam = parse_poly(src, d, p=p, K=K)
+    assert len(lam._cache["factors"]) > 1
+    walk = _packed_walk(lam, lam, N, 0)
+    assert (len(walk.factors) > 1, bool(walk.lat)) == (factored, lattice)
+    steps = []
+    for _ in range(N):
+        walk.step()
+        steps.append(walk.constant_term())
+    assert steps == [q.constant_term() for q in dict_powers(lam, N + 1)[2:]]
+
+
+def test_factored_walks_count_their_passes():
+    lam = parse_poly(APERY_POLY_SRC, 2, p=5, K=2)  # 16-bit slots
+    # two bytes a slot times 2 + 2 + 3 passes, and 8 + 3 (three residues over 1)
+    assert _packed_walk(lam, lam, 30).pace == 2 * 7
+    assert _packed_walk(expanded(lam), expanded(lam), 30).pace == 2 * 11
+    assert route(lam, 1) == [8]  # a one-shot product steps by the base
+    exact = parse_poly(APERY_POLY_SRC, 2)
+    assert _packed_walk(exact, exact, 30) is None  # exact: the dict walk
+    # 162 terms, over SHIFT_ADD_TERMS: one product a step, priced as that many passes
+    src = "(1+x1+x1^2)*(1+x2+x2^2)*(1+x3+x3^2)*(1+x4+x4^2)*(1+x5)"
+    lam = parse_poly(src, 5, p=3, K=2)
+    assert route(lam, 2) == [3, 3, 3, 3, 2]
+    walk = _packed_walk(expanded(lam), expanded(lam), 2)
+    assert walk.pace == SHIFT_ADD_TERMS * walk.bits // 8
+    assert constant_term_sequence(lam, 3) == constant_term_sequence(expanded(lam), 3)
 
 
 def full_constant_term(factors):

@@ -169,3 +169,64 @@ def test_print_parse_round_trip_modular():
         if not a:
             continue
         assert parse_poly(str(a), 2, p=7, K=2) == a
+
+
+def kept(lam):
+    """The factors the parser kept with lam, as strings; None for none."""
+    factors = lam._cache.get("factors")
+    return factors and [str(f) for f in factors]
+
+
+def times_monomial(lam, factors):
+    """The product of the factors times the monomial x**e that moves its
+    least exponent onto lam's: lam when they are lam's factors."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out._mul_dict(f)
+    e = [a - b for a, b in zip(min(lam.support()), min(out.support()))]
+    return out._mul_dict(LaurentPoly.monomial(lam.arity, e, p=lam.p, K=lam.K))
+
+
+@pytest.mark.parametrize("src,d,factors", [
+    ("(1+x1)*(1+x2)", 2, ["1 + x1", "1 + x2"]),
+    (APERY_SRC, 2, ["1 + x1", "1 + x2", "1 + x2 + x1"]),  # a quotient by a monomial
+    ("x1*(1+x1)*x1^-2*(1+x2)", 2, ["1 + x1", "1 + x2"]),
+    ("((1+x1)*(x1+x2))*((1+x2))", 2, ["1 + x1", "x2 + x1", "1 + x2"]),  # flattened
+    ("(1+x1)^3", 1, ["1 + x1"] * 3),
+    ("((1+x1)*(1+x2))^2/x1", 2, ["1 + x1", "1 + x2"] * 2),
+    ("(x1+x1^-1)^2*(1+x1)^0*(1-x1)", 1, ["x1^-1 + x1", "x1^-1 + x1", "1 - x1"]),
+    ("-(1+x1)*(1+x2)", 2, ["-1 - x1", "1 + x2"]),  # '-' binds to the first factor
+])
+def test_products_keep_their_factors(src, d, factors):
+    lam = parse_poly(src, d)
+    assert kept(lam) == factors
+    assert times_monomial(lam, lam._cache["factors"]) == lam
+
+
+@pytest.mark.parametrize("src,d", [
+    ("1+x1", 1),  # a sum
+    ("(1+x1)*(1+x2)+1", 2),
+    ("-((1+x1)*(1+x2))", 2),  # a negated product
+    ("2*(1+x1)*(1+x2)", 2),  # a coefficient other than 1
+    ("(1+x1)*(1+x2)/(-x1)", 2),
+    ("(1+x1)/x1", 1),  # one factor: the base itself
+    ("x1*x2^-1", 2),  # a monomial
+    ("(1+x1)^1", 1),
+])
+def test_sums_negations_and_coefficients_keep_no_factors(src, d):
+    assert kept(parse_poly(src, d)) is None
+
+
+@pytest.mark.parametrize("src,d", [(APERY_SRC, 2), ("(1-x1)*(2+x2)^2*(x1-x2)/x2^3", 2),
+                                   ("(x1+x2)*(1+x3)*(x1+x2+x3)*(1+x2+x3)/(x1*x2*x3)", 3)])
+@pytest.mark.parametrize("p,K", [(2, 1), (3, 2), (7, 3)])
+def test_reduce_mod_carries_the_factors(src, d, p, K):
+    exact = parse_poly(src, d)
+    lam = exact.reduce_mod(p, K)
+    factors = lam._cache["factors"]
+    assert [f.modulus for f in factors] == [p**K] * len(factors)
+    assert factors == tuple(f.reduce_mod(p, K) for f in exact._cache["factors"])
+    assert times_monomial(lam, factors) == lam  # the expanded value, reduced
+    # the expanded map, and so every printed byte, is the one parsed mod p**K
+    assert lam == parse_poly(src, d, p=p, K=K) == LaurentPoly(d, dict(exact.terms()), p=p, K=K)
+    assert str(lam) == str(parse_poly(src, d, p=p, K=K))
