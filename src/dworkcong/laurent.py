@@ -38,15 +38,14 @@ on the packed integer, two slots to a lane, for wider ones.
 Once no power is left to keep, a walk is cut at each reduction: with K
 steps to come, CT(cur * base**j), j <= K, reads cur only on the hull of the
 origin and -K.(base support), so the rows of the first box coordinate
-outside that hull are masked off or shifted out.  A walk large enough for a
-copy of its rows to pay holds the running power in a box fitted to the next
-reduction instead, its rows copied there into a new box, cut in every
-coordinate, while the shift-and-adds that saves outweigh the copy.  A walk
-is priced at the boxes it will carry, copies included, and a walk or
-monomial power estimated over WALK_BUDGET is refused with ValueError before
-it starts.  The dict multiply handles the rest -- exact coefficients and
-one-shot products with fewer term pairs than box slots -- and is the
-kernel's test oracle.
+outside that hull are masked off or shifted out.  A walk whose lasting
+box's slots times its reduction period exceed COPY_SLOTS copies its rows at
+each reduction instead, cut in every coordinate, into a box fitted to the
+next one.  A walk is priced at the boxes it will carry, copies included,
+and a walk or monomial power estimated over WALK_BUDGET is refused with
+ValueError before it starts.  The dict multiply handles the rest -- exact
+coefficients and one-shot products with fewer term pairs than box slots --
+and is the kernel's test oracle.
 
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
@@ -787,13 +786,16 @@ WALK_BUDGET = 10**9
 # however few words its coefficients have, so exact Apery is refused from
 # --N 151, about 20 s, as a packed walk is near 24 s.
 DICT_PAIR = 20
-# A copy of a packed walk's rows into a new box costs RELAYOUT slot-words
-# and one per COPY_BYTES bytes of the two boxes (about 12 us and 3 ns a byte
-# on a 2-core x86-64 host); a re-fit weighs it against the shift-and-adds it
-# saves, one slot-word per TERM_BYTES bytes times terms (0.65 to 0.75 ns).
+# A packed walk with a reduction inside it, growing in a box coordinate beyond
+# the first, copies its rows at each reduction when its lasting box's slots
+# times its period exceed COPY_SLOTS: on a 2-core x86-64 host Apery `check dig2
+# --p 7 --s 1` (9409 slots, period 1) took 1.8 ms without copies and 2.7 with,
+# `check c1 --p 2 --s 5` (16129 slots, period 3) 3.7 ms without and 3.0 with.
+# A copy is priced at RELAYOUT slot-words and one per COPY_BYTES bytes of the
+# two boxes (about 12 us and 3 ns a byte).
+COPY_SLOTS = 16384
 RELAYOUT = 1024
 COPY_BYTES = 8
-TERM_BYTES = 32
 
 
 def _check_work(work, what="walk"):
@@ -848,17 +850,17 @@ class _PackedWalk:
     lattice basis.  After `done` steps the origin's box coordinates times
     det are origin - done * move, and the running power fills the first
     kept + done * spans slots of each box coordinate.  Slots are reduced mod
-    m every `period` steps, just before they could overflow, and the box may
-    be re-fitted there (`_fit`).  After step `keep` no power is kept, and
+    m every `period` steps, just before they could overflow, and the box is
+    re-fitted there (`_fit`).  After step `keep` no power is kept, and
     each reduction cuts the running power to the hull of the origin and
     -K.(base support), K the steps to come: every exponent that a later
-    constant term reads lies in it; a walk without copies re-fits only from
-    the first reduction at which that cuts (`first_cut`).  A walk whose box
-    is large enough for a copy of its rows to pay (`copies`) copies them,
-    cut in every coordinate, into a box fitted to the next reduction while
-    that saves more shift-and-adds than the copy costs, and then into one
-    that lasts to the walk's end.  A box that lasts is cut in its first
-    coordinate alone, by a mask and a shift.
+    constant term reads lies in it.  A walk with a reduction inside it,
+    growing in a box coordinate beyond the first, whose lasting box's slots
+    times its period exceed COPY_SLOTS (`copies`) copies its rows at each
+    reduction, cut in every coordinate, into a box fitted to the next
+    reduction but in its first coordinate, whose rows last.  Any other walk
+    keeps its lasting box, cut in the first coordinate alone by a mask and
+    a shift.
     """
 
     def __init__(self, cur, base, lat, frame, base_frame, bits, weight, steps, keep,
@@ -868,8 +870,6 @@ class _PackedWalk:
         # per factor stepped by: its coordinates as columns, their least and its residues
         self.factors = [(f_frame[1], f_frame[2], list(f._coeffs.values()))
                         for f, f_frame in factors]
-        # byte-terms of a slot a step: its bytes times the passes made
-        self.pace = sum(_passes(f) for f, _ in factors) * bits // 8
         # u = (e - shift).X / det, taken with det > 0: the origin's u times
         # det is -shift.X, which a step moves by -base_shift.X
         self.det, self.cols = 1, None
@@ -887,18 +887,16 @@ class _PackedWalk:
         self.period, top = 0, self.m - 1
         while self.period < steps and not top * weight >> bits:
             top, self.period = top * weight, self.period + 1
-        self.due, self.lanes, self.lasts = self.period, 0, True
+        self.due, self.lanes = self.period, 0
         self.dots = self.reduce = None
         self.widths = [n + steps * b for n, b in zip(self.kept, self.spans)]  # lasting
-        # a copy, at a reduction, saves at most a period's shift-and-adds on the box
-        self.copies = self.period < steps and (prod(self.widths[1:]) - 1) * self.widths[0] \
-            * self.period * self.pace > RELAYOUT * TERM_BYTES
+        self.copies = self.period < steps and any(self.spans[1:]) \
+            and prod(self.widths) * self.period > COPY_SLOTS
         if self.copies:
-            self.widths, self.lasts = None, False
+            self.widths = None
             self._fit(False)
         else:
             self.strides = _strides(self.widths)
-        self.first_cut = self._first_cut()
         if frame[1] is None:  # cur born from slots in Z^d: its box's rows
             self.x = int.from_bytes(_restride(_slot_data(cur, bits), [s + 1 for s in frame[3]],
                                               self.widths, bits // 8), _ORDER)
@@ -936,7 +934,7 @@ class _PackedWalk:
     def _support_dots(self):
         """The least and largest dot product of the base support with each
         column of X (of each coordinate over Z^d) that `_fit` cuts: all on a
-        walk with copies, else the first; computed once."""
+        walk that copies (COPY_SLOTS), else the first; computed once."""
         if self.dots is None:
             dots = zip(*self.ring._coeffs)
             if self.cols:
@@ -944,39 +942,12 @@ class _PackedWalk:
             self.dots = [(min(t), max(t)) for t in islice(dots, None if self.copies else 1)]
         return self.dots
 
-    def _first_cut(self):
-        """The first reduction from step keep on at which `_fit`'s window
-        cuts the first box coordinate of a walk without copies, else steps
-        (keep on a walk with copies).
-        With at = origin - done * move, as of step 0, and K = steps - done,
-        it cuts below when at > 0 and at > K * high, above when at and
-        at - K * low are below det * (the running power's last row): each
-        test linear in done, so each side's steps are one interval."""
-        if self.copies or self.keep >= self.steps:
-            return self.keep
-        (low, high), o, v = self._support_dots()[0], self.origin[0], self.move[0]
-        S, period, row = self.steps, self.period, self.det * (self.kept[0] - 1)
-        grow, first = self.det * self.spans[0], S
-        for tests in (((o, -v), (o - S * high, high - v)),  # c + k * done > 0
-                      ((row - o, v + grow), (row - o + S * low, v + grow - low))):
-            lo, hi = max(period, self.keep), S
-            for c, k in tests:
-                if k > 0:
-                    lo = max(lo, -c // k + 1)
-                elif k < 0:
-                    hi = min(hi, -(c // k))
-                elif c <= 0:
-                    hi = lo
-            at = -(-lo // period) * period  # the first reduction in [lo, hi)
-            if at < hi:
-                first = min(first, at)
-        return first
-
     def _fit(self, trim):
         """Re-fit the box, cut when `trim` to the hull of the origin and
-        -K.(base support), K the steps to come, in every box coordinate, or
-        in the first alone on a walk without copies: (the re-layout, as
-        `_relayout` takes it, and its slot-words), or (None, 0)."""
+        -K.(base support), K the steps to come, in every box coordinate of a
+        walk that copies (COPY_SLOTS), copied into the box fitted to the next
+        reduction, else in the first alone: (the re-layout, as `_relayout`
+        takes it, and its slot-words), or (None, 0)."""
         old, done, spans, d = self.widths, self.done, self.spans, len(self.spans)
         lo, kept = [0] * d, list(self.kept)
         if trim:
@@ -990,11 +961,13 @@ class _PackedWalk:
                     self.kept = None
                     return (lo, old, old, [0] * d), 0
         widths, size = old, self.bits // 8
-        out = (self.kept[0] + done * spans[0]) * prod(old[1:]) * size if old else 0  # bytes read
-        if self.copies:
-            widths, lo, kept = self._box(lo, kept, out)
-        if widths is old and kept == self.kept and not any(lo):
+        if self.copies:  # the first coordinate's rows last, the others fit the next reduction
+            ahead = min(self.due, self.steps)
+            widths = [n + (ahead if j else self.steps) * b
+                      for j, (n, b) in enumerate(zip(kept, spans))]
+        elif kept == self.kept and not any(lo):
             return None, 0
+        out = (self.kept[0] + done * spans[0]) * prod(old[1:]) * size if old else 0  # bytes read
         if any(lo):
             self.origin = [o - l * self.det for o, l in zip(self.origin, lo)]
         self.kept, kept = kept, [n + done * b for n, b in zip(kept, spans)]
@@ -1005,29 +978,6 @@ class _PackedWalk:
         if not old:
             return plan, 0
         return plan, RELAYOUT + (out + kept[0] * prod(widths[1:]) * size) // COPY_BYTES
-
-    def _box(self, lo, kept, out):
-        """(box, lo, kept) for the `kept` slots, as of step 0, from `lo` on:
-        the box fitted to the next reduction where the shift-and-adds it
-        saves outweigh its copy, `out` bytes read and the box's written,
-        else one that lasts to the walk's end, the old one if it does, cut
-        in its first coordinate alone."""
-        old, spans, done = self.widths, self.spans, self.done
-        ahead = min(self.due, self.steps) - done  # steps to the next reduction
-        # the first coordinate costs nothing: every box takes the lasting rows
-        lasting = [n + self.steps * b for n, b in zip(kept, spans)]
-        fitted = lasting[:1] + [n + (done + ahead) * b for n, b in zip(kept[1:], spans[1:])]
-        held = old if self.lasts else lasting
-        rows = kept[0] + done * spans[0]
-        saved = (prod(held[1:]) - prod(fitted[1:])) * rows * ahead * self.pace
-        copy = RELAYOUT + (out + rows * prod(fitted[1:]) * self.bits // 8) // COPY_BYTES
-        if done + ahead < self.steps and saved > copy * TERM_BYTES:
-            self.lasts = False
-            return fitted, lo, kept
-        if not self.lasts:
-            self.lasts = True
-            return lasting, lo, kept
-        return old, lo[:1] + [0] * (len(lo) - 1), kept[:1] + self.kept[1:]
 
     def work(self):
         """Slot-words of the whole walk: its steps taken on a copy whose
@@ -1064,7 +1014,7 @@ class _PackedWalk:
         reduced = done == self.due
         if reduced:
             self.due += self.period
-            if self.kept and (not self.lasts or done >= self.first_cut):
+            if self.kept:
                 plan, cost = self._fit(done >= self.keep)
         if plan:
             self.x = self._relayout(*plan)

@@ -30,6 +30,7 @@ from dworkcong.laurent import (
     _pack,
     _PackedWalk,
     _packed_walk,
+    _passes,
     _reducer,
     _slot,
     _slots,
@@ -525,14 +526,30 @@ def copies(fits):
 
 
 def set_costs(monkeypatch, costs):
-    """Copies at their price, or free, so that every walk of more than one
-    box coordinate re-lays its box out at each reduction that drops slots."""
+    """Copies by the rule, or free, so that every walk with a reduction that
+    grows in more than one box coordinate copies its rows at each one."""
     if costs == "free":
-        monkeypatch.setattr(laurent, "RELAYOUT", 0)
-        monkeypatch.setattr(laurent, "COPY_BYTES", 10**9)
+        monkeypatch.setattr(laurent, "COPY_SLOTS", 0)
 
 
 COSTS = pytest.mark.parametrize("costs", ["priced", "free"])
+
+
+WIDE = {(-50, -50): 1, (50, 50): 1}  # a start whose box is 101 x 101
+
+
+@pytest.mark.parametrize("src,d,p,K,start,steps,rule", [
+    (APERY_POLY_SRC, 2, 7, 1, None, 47, (9409, 1, False)),  # 9409 slots: under COPY_SLOTS
+    (APERY_POLY_SRC, 2, 2, 5, None, 62, (16129, 3, True)),  # 48387 slot-periods: over it
+    (APERY_POLY_SRC, 2, 3, 45, WIDE, 15, (17161, 15, False)),  # no reduction inside the walk
+    (CHEB, 1, 2, 5, None, 6000, (6002, 3, False)),  # one box coordinate
+])
+def test_one_rule_decides_copies(src, d, p, K, start, steps, rule):
+    lam = parse_poly(src, d, p=p, K=K)
+    cur = lam if start is None else LaurentPoly(d, start, p=p, K=K)
+    walk = _packed_walk(cur, lam, steps, 0)
+    lasting = prod(n + steps * b for n, b in zip(walk.kept, walk.spans))
+    assert (lasting, walk.period, walk.copies) == rule
 
 
 TRIMMED = [(src, d) for src, d, _ in LATTICES] + [
@@ -554,8 +571,8 @@ def test_trimmed_sweeps_match_dict_walk(monkeypatch, src, d, p, K, costs="priced
     want = [q.constant_term() for q in dict_powers(lam, N)]
     assert constant_term_sequence(lam, N) == want
     spans = _frame(lam, _lattice(lam))[3]  # the base's extent in box coordinates
-    if lam.support() == [(0,) * d]:  # a constant base: no window cuts, no re-fit runs
-        assert not fits
+    if lam.support() == [(0,) * d]:  # a constant base: no re-fit changes the box
+        assert all(f[3] is None for f in fits)
     elif _packed_walk(lam, lam, N - 1, 0).period < N - 1:  # cuts come with reductions
         assert cuts(fits)
         if costs == "free":
@@ -574,30 +591,35 @@ def test_relaid_out_sweeps_match_dict_walk(monkeypatch, src, d, p, K):
 @pytest.mark.parametrize("p,K", [(2, 2), (3, 3), (3, 45)])  # 8, 16, 128 bits
 @pytest.mark.parametrize("N,keep", [(7, 0), (26, 0), (26, 9)])
 def test_first_cut_skips_only_refits_that_cut_nothing(monkeypatch, src, d, p, K, N, keep):
-    # a walk without copies runs no re-fit before its first cut; the same
-    # walk re-fitted at every reduction from step keep on makes the same
-    # cuts, none of them earlier, and reads the same constant terms
+    # a walk re-fits at every reduction and trims from step keep on; a
+    # re-fit that cuts nothing leaves the box and the running power as they
+    # are, so the walk reads the same constant terms as one that never trims
     lam = parse_poly(src, d, p=p, K=K)
+    want = [q.constant_term() for q in dict_powers(lam, N + 1)][2:]
     fits, runs = sweep_trims(monkeypatch), []
-    for skip in (True, False):
-        if not skip:
-            monkeypatch.setattr(_PackedWalk, "_first_cut", lambda walk: walk.keep)
-        walk, cts, start = _packed_walk(lam, lam, N, keep), [], len(fits)
+    for trims in (True, False):
+        if not trims:
+            fit = _PackedWalk._fit
+            monkeypatch.setattr(_PackedWalk, "_fit", lambda walk, trim: fit(walk, False))
+        walk, cts = _packed_walk(lam, lam, N, keep), []
+        start = len(fits)  # the re-fits of its steps
         for _ in range(N):
             walk.step()
             cts.append(walk.constant_term())
-        runs.append((walk.copies, walk.first_cut, fits[start:], cts))
-    (copies, first, skipped, cts), (_, _, every, want) = runs
-    if copies:
+        assert cts == want
+        runs.append((walk, fits[start:]))
+    (walk, trimmed), (_, untrimmed) = runs
+    reductions = list(range(walk.period, N, walk.period)) if walk.period else []
+    assert [N - f[0] for f in trimmed] == reductions[:len(trimmed)]
+    if len(trimmed) < len(reductions):  # the walk stopped re-fitting once it emptied
+        assert walk.kept is None and min(trimmed[-1][3][3]) <= 0
+    assert all(f[1] == (f[0] <= N - keep) for f in trimmed)  # trims from step keep on
+    if walk.copies:  # each re-fit copies into the box fitted to the next reduction
         return
-    assert cts == want
-    changed = [f for f in every if f[3] is not None]
-    assert [f for f in skipped if f[3] is not None] == changed
-    assert all(f[0] <= N - first for f in skipped)  # none before the first cut
-    if first < N:
-        assert changed[0][0] == N - first  # that reduction cuts
-    else:
-        assert not changed and not skipped
+    assert all(f[3] is None for f in trimmed if not f[1])
+    assert all(f[3] is None for f in untrimmed)
+    for _, _, ext, (lo, _, _, kept) in (f for f in trimmed if f[3] is not None):
+        assert lo[0] > 0 or kept[0] < ext[0] or min(kept) <= 0  # each re-layout cuts
 
 
 @pytest.mark.parametrize("src,costs", [
@@ -852,18 +874,18 @@ def test_factored_route_needs_the_product_over_z(src, d, p, K, factored, lattice
 
 def test_factored_walks_count_their_passes():
     lam = parse_poly(APERY_POLY_SRC, 2, p=5, K=2)  # 16-bit slots
-    # two bytes a slot times 2 + 2 + 3 passes, and 8 + 3 (three residues over 1)
-    assert _packed_walk(lam, lam, 30).pace == 2 * 7
-    assert _packed_walk(expanded(lam), expanded(lam), 30).pace == 2 * 11
+    # a walk steps by the factors in 2 + 2 + 3 passes, not 8 + 3 (three residues over 1)
+    assert route(lam, 30) == [2, 2, 3]
+    assert sum(map(_passes, lam._cache["factors"])) == 7
+    assert _passes(expanded(lam)) == 11
     assert route(lam, 1) == [8]  # a one-shot product steps by the base
     exact = parse_poly(APERY_POLY_SRC, 2)
     assert _packed_walk(exact, exact, 30) is None  # exact: the dict walk
-    # 162 terms, over SHIFT_ADD_TERMS: one product a step, priced as that many passes
+    # 162 terms, over SHIFT_ADD_TERMS: one product a step, counted as that many passes
     src = "(1+x1+x1^2)*(1+x2+x2^2)*(1+x3+x3^2)*(1+x4+x4^2)*(1+x5)"
     lam = parse_poly(src, 5, p=3, K=2)
     assert route(lam, 2) == [3, 3, 3, 3, 2]
-    walk = _packed_walk(expanded(lam), expanded(lam), 2)
-    assert walk.pace == SHIFT_ADD_TERMS * walk.bits // 8
+    assert _passes(expanded(lam)) == SHIFT_ADD_TERMS
     assert constant_term_sequence(lam, 3) == constant_term_sequence(expanded(lam), 3)
 
 
