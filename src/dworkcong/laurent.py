@@ -10,9 +10,9 @@ terms spread over a scaled Newton polytope.  Mod m = p**K, though, products
 go through one Kronecker kernel (D. Harvey, arXiv:0712.4046): a box of
 exponent coordinates maps to one index, and each factor becomes one integer
 holding its residues in slots of the narrowest width that holds (m-1) times
-the sum of the second (shorter) factor's residues: 8, 16, 32 or 64 bits, and
-whole 64-bit words beyond that, so every modulus packs.  A
-one-shot product packs in Z^d, exponents being their own coordinates.  A walk
+the sum of the lighter factor's residues (the base's in a walk): 8, 16, 32
+or 64 bits, and whole 64-bit words beyond that, so every modulus packs.  A
+one-shot product packs in Z^d, whatever its factors hold.  A walk
 -- repeated products by one factor, the base -- packs in the coordinates of
 the lattice L spanned by the base's support differences (H. Cohen, A Course
 in Computational Algebraic Number Theory, 2.4), in a basis of r of them when
@@ -44,23 +44,23 @@ each reduction instead, cut in every coordinate, into a box fitted to the
 next one.  A walk is priced at the boxes it will carry, copies included,
 and a walk or monomial power estimated over WALK_BUDGET is refused with
 ValueError before it starts.  The dict multiply handles the rest -- exact
-coefficients and one-shot products with fewer term pairs than box slots --
-and is the kernel's test oracle.
+coefficients and one-shot products whose box has over PAIR_SLOTS slots per
+term pair -- and is the kernel's test oracle.
 
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
 Z^d of which only the slots on pZ^d are kept.  Each factor is packed once
 per slot width and cached with it.
 
-Mod m a value can be born from slots (`_born`): the power a walk keeps, the
-product of a one-shot multiply with a factor born so, the difference or
-sum with such a value on the left, its x -> x**m spread and the result of
-`cartier_of_product`.  It holds its Z^d box, cut to its support, its slot
-width and its slot bytes; its length, weight and constant term come from
-the slots, and it decodes its coefficient map only when a caller reads one
-(`coefficient` reads one slot).  Products, sums and constant terms of
-products (`constant_term_of_product`) of such values run on their slots,
-so the ghost fold of `ghost.GhostCalculator.c_direct` decodes no map.  A
+Mod m a value can be born from slots (`_born`): the power a walk keeps, a
+packed one-shot product, the difference or sum with such a value on the
+left, its x -> x**m spread and the result of `cartier_of_product`.  It
+holds its Z^d box, cut to its support, its slot width and its slot bytes;
+its length, weight and constant term come from the slots, and it decodes
+its coefficient map only when a caller reads one (`coefficient` reads one
+slot).  Products, sums and constant terms of products of such values
+(`constant_term_of_product`) run on their slots, so the ghost fold of
+`ghost.GhostCalculator.c_direct` decodes no map.  A
 value with over SPARSE box slots per term, a box too sparse to carry, is
 decoded at birth; exact coefficients are never born from slots.
 
@@ -288,18 +288,10 @@ class LaurentPoly:
         if isinstance(other, int):
             return self._scalar_mul(other)
         self._same_ring(other)
-        # the shorter factor plays the base, whose length bounds the slots
-        a, b = (self, other) if len(self) >= len(other) else (other, self)
-        if "len" in a._cache or "len" in b._cache:  # the slots of a value born from them
-            out = _packed_product(a, b) if b else b
-        else:
-            walk = out = _packed_walk(a, b, 1)
-            if walk is not None:
-                walk.step()
-                out = walk.poly()
+        out = _packed_product(self, other)
         if out is None:  # priced as one step of a dict walk
-            _check_work(len(a) * len(b) * (_words((a, 1), (b, 1)) + DICT_PAIR),
-                        "product")
+            pairs = len(self) * len(other)
+            _check_work(pairs * (_words((self, 1), (other, 1)) + DICT_PAIR), "product")
             return self._mul_dict(other)
         return out
 
@@ -630,16 +622,16 @@ def _packed_dot(a, b):
 
 
 def _packed_product(a, b):
-    """a * b mod m, one of them born from slots, as one Kronecker product
-    in Z^d (`_kronecker`), born from its slots; None for the dict multiply
-    when its box has over PAIR_SLOTS slots per term pair, as for U_p.
-    Priced like a walk's step."""
+    """a * b mod m as one Kronecker product in Z^d (`_kronecker`), born from
+    its slots, whatever each factor holds; None for the dict multiply when
+    the coefficients are exact, a factor is 0 or the box has over PAIR_SLOTS
+    slots per term pair."""
+    m = a.modulus
+    if m is None or not a or not b:
+        return None
     lo, wide = _product_box((a, b))
     if len(a) * len(b) * PAIR_SLOTS < prod(wide):
         return None
-    m = a.modulus
-    _check_work(prod(wide) * -(-_slot((m - 1) * min(_box(a)[2], _box(b)[2])) // 64) + 128,
-                "product")
     x, bits, top = _kronecker((a, b), wide)
     if top >= m:
         x = _reducer(m, bits, prod(wide))(x)
@@ -843,8 +835,8 @@ def _words(*powers):
 
 
 class _PackedWalk:
-    """The powers cur * base**k, k = 0..steps, kept as one packed integer;
-    a step multiplies by base, or by each of its `factors` in turn.
+    """A sweep's powers cur * base**k, k = 0..steps, cur a power of base, as
+    one packed integer; a step multiplies by base or by its `factors` in turn.
 
     The slot at box coordinates u holds the exponent shift + u.B, B the
     lattice basis.  After `done` steps the origin's box coordinates times
@@ -1099,19 +1091,18 @@ class _PackedWalk:
 
 
 def _packed_walk(cur, base, steps, keep=None):
-    """A packed walk from cur by `steps` multiplications by base, in slots
-    of `_slot((m-1) * weight)` bits, that decodes no power after step `keep`
-    (default: steps), or None for the dict multiply: exact coefficients, an
-    empty factor, or a one-shot product (steps == 1) with fewer term pairs
-    than slots in its box.  Only a longer walk, whose cur is a power of
-    base, packs in base's lattice.  It is priced at its full box at every
-    step, and when that is over WALK_BUDGET at the boxes it fits (`work`)."""
+    """A packed walk from cur, a power of base, by `steps` multiplications
+    by base, in base's lattice and slots of `_slot((m-1) * weight)` bits,
+    that decodes no power after step `keep` (default: steps), or None for
+    the dict walk: exact coefficients or an empty factor.  It is priced at
+    its full box at every step, and when that is over WALK_BUDGET at the
+    boxes it fits (`work`)."""
     m = base.modulus
     if m is None or not cur or not base:
         return None
     weight = sum(base._coeffs.values())
     bits = _slot((m - 1) * weight)
-    lat = _lattice(base) if steps > 1 else ()
+    lat = _lattice(base)
     if "len" in cur._cache and not lat:  # born from slots: its box, no map
         lo, widths, _ = cur._cache["box"]
         frame = lo, None, lo, [w - 1 for w in widths]
@@ -1119,11 +1110,9 @@ def _packed_walk(cur, base, steps, keep=None):
         frame = _frame(cur, lat)
     base_frame = _frame(base, lat)
     factors = [(base, base_frame)]
-    if steps > 1 and not lat and _factored(base, weight):
+    if not lat and _factored(base, weight):
         factors = [(f, _frame(f, ())) for f in base._cache["factors"]]
     spans = list(zip(frame[3], base_frame[3]))
-    if steps == 1 and len(cur) * len(base) < prod(s + b + 1 for s, b in spans):
-        return None
     words = -(-bits // 64)
     work = steps * (prod(s + steps * b + 1 for s, b in spans) * words + 128)
     if steps * (words + 128) > WALK_BUDGET:  # a slot a step, at the least
@@ -1330,10 +1319,12 @@ def _restride(data, widths, new, size, lo=None, keep=None):
 # its box then costs more to carry than its terms (SIMPLEX3's powers fill
 # 1/48 of their Z^3 boxes; Apery's ghost terms at p = 3 fill 1/76 to all)
 SPARSE = 32
-# Box slots of a packed Cartier product that cost about as much as one term
-# pair of its dict route (U_p of the Apery products at p = 2, 3, 5 ran
+# Box slots of a packed product that cost about as much as one term pair of
+# its dict route.  It alone sends a modular one-shot product to the dict
+# multiply, and a Cartier product counts only its pairs on pZ^d against it.
+# Measured on Cartier products: U_p of the Apery products at p = 2, 3, 5 ran
 # fastest packed from 32 to 128, those of x1+x2+x3+1/(x1*x2*x3) at p = 5,
-# whose powers fill 2 % of their boxes, from 1 to 128)
+# whose powers fill 2 % of their boxes, from 1 to 128.
 PAIR_SLOTS = 64
 
 
@@ -1350,10 +1341,12 @@ def _kronecker(factors, wide):
     """The product of the nonzero factors mod m as one Kronecker product
     over their box `wide` (`_product_box`), the heaviest first, in slots
     that hold m-1 times the weight of any other, reduced before a factor
-    could overflow them: (x, bits, top), top bounding x's slots."""
+    could overflow them: (x, bits, top), top bounding x's slots.  Priced
+    like a walk's step, its box in those slots, before it allocates."""
     m = factors[0].modulus
     boxes, factors = zip(*sorted(((_box(f), f) for f in factors), key=lambda bf: -bf[0][2]))
     bits = _slot((m - 1) * max([box[2] for box in boxes[1:]], default=1))
+    _check_work(prod(wide) * -(-bits // 64) + 128, "product")
     size, reduce, x = bits // 8, None, None
     for (_, widths, weight), f in zip(boxes, factors):
         y = int.from_bytes(_restride(_slot_data(f, bits), widths, wide, size), _ORDER)

@@ -10,6 +10,7 @@ slowdown rather than a wrong answer.
 
 import random
 import sys
+from itertools import product
 from math import comb, factorial, prod
 from operator import gt, le, mul
 
@@ -29,6 +30,7 @@ from dworkcong.laurent import (
     _mul_mod_lists,
     _pack,
     _PackedWalk,
+    _packed_product,
     _packed_walk,
     _passes,
     _reducer,
@@ -62,8 +64,7 @@ def dense_poly(rng, arity, radius, p, K):
 
 def packed(a, b):
     """Whether a * b takes the Kronecker kernel."""
-    a, b = (a, b) if len(a) >= len(b) else (b, a)
-    return _packed_walk(a, b, 1) is not None
+    return _packed_product(a, b) is not None
 
 
 def line(coeff, exponents, p, K):
@@ -130,7 +131,10 @@ def test_empty_factors():
 def test_sparse_factors_take_the_dict_path():
     lam = parse_poly(APERY_POLY_SRC, 2, p=3, K=3)
     f = lam * lam * lam
-    ghost = f.substitute_power(9)  # the support spread over a 9x wider box
+    # 39 * 39 term pairs against 61**2 box slots pack; against 493**2 they
+    # are over PAIR_SLOTS slots a pair
+    assert packed(f.substitute_power(9), f)
+    ghost = f.substitute_power(81)  # the support spread over an 81x wider box
     assert not packed(ghost, f)
     assert ghost * f == ghost._mul_dict(f)
 
@@ -412,7 +416,8 @@ def test_closed_forms(src, d, parts, p, K, N, bits):
 
 
 def test_one_shot_products_across_cosets():
-    # one-shot products pack in Z^d, whatever cosets their factors lie on
+    # one-shot products are one Kronecker product in Z^d, whatever cosets
+    # their factors lie on
     tri = parse_poly(TRIANGLE, 2, p=3, K=2)
     six = dict_powers(tri, 6)[6]
     shifted = six._mul_dict(LaurentPoly.monomial(2, (1, 0), p=3, K=2))  # another coset
@@ -425,7 +430,7 @@ def test_one_shot_products_across_cosets():
     assert odd * even == odd._mul_dict(even)
     monomial = LaurentPoly.monomial(2, (3, -2), 5, p=3, K=2)  # a rank-0 base
     dense = dense_poly(random.Random(2), 2, 3, 3, 2)
-    assert _packed_walk(dense, monomial, 1).lat == ()
+    assert packed(dense, monomial)
     assert dense * monomial == dense._mul_dict(monomial)
 
 
@@ -878,7 +883,6 @@ def test_factored_walks_count_their_passes():
     assert route(lam, 30) == [2, 2, 3]
     assert sum(map(_passes, lam._cache["factors"])) == 7
     assert _passes(expanded(lam)) == 11
-    assert route(lam, 1) == [8]  # a one-shot product steps by the base
     exact = parse_poly(APERY_POLY_SRC, 2)
     assert _packed_walk(exact, exact, 30) is None  # exact: the dict walk
     # 162 terms, over SHIFT_ADD_TERMS: one product a step, counted as that many passes
@@ -1087,6 +1091,66 @@ def test_sparse_born_products_take_the_dict_route(monkeypatch, p, K):
         assert bool(routes) == route
         assert got == mul_dict(as_dict(a), as_dict(b))
         routes.clear()
+
+
+ONE_SHOT_KINDS = ["map*map", "map*born", "born*born", "monomial", "zero", "exact"]
+
+
+def one_shot_factors(kinds, spread, d, p, K):
+    """(a, b) of the given kinds: a with random residues, b with residues 1
+    and 2, the lighter.  Spread, each is two terms at the ends of a thin box,
+    63 wide when born from slots (the most that two terms may fill, SPARSE)
+    and 999 for a map; a's in x1, b's in the last variable."""
+    rng, m = random.Random(f"{kinds} {spread} {d} {p} {K}"), p**K
+    if spread:
+        wa = 63 if kinds in ("born*born", "zero") else 999
+        wb = 63 if kinds in ("map*born", "born*born") else 999
+        a = {(0,) * d: rng.randrange(1, m), (wa,) + (0,) * (d - 1): rng.randrange(1, m)}
+        b = {(0,) * d: 1, (0,) * (d - 1) + (wb,): 2}
+    else:
+        a = dense_poly(rng, d, {1: 4, 2: 2, 3: 1}[d], p, K)._coeffs
+        b = {e: rng.randint(1, 2) for e in product(range(-1, 2), repeat=d)}
+    if kinds == "exact":  # signed integers
+        return (LaurentPoly(d, {e: c - m // 2 or 1 for e, c in a.items()}),
+                LaurentPoly(d, {e: -c for e, c in b.items()}))
+    a, b = LaurentPoly(d, a, p=p, K=K), LaurentPoly(d, b, p=p, K=K)
+    if kinds == "monomial":
+        return a, LaurentPoly.monomial(d, (2,) + (-1,) * (d - 1), -1, p=p, K=K)
+    if kinds == "zero":
+        return born(a), LaurentPoly.zero(d, p=p, K=K)
+    return (born(a) if kinds == "born*born" else a,
+            b if kinds == "map*map" else born(b))
+
+
+@pytest.mark.parametrize("kinds", ONE_SHOT_KINDS)
+@pytest.mark.parametrize("spread", [False, True], ids=["dense", "spread"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p,K", [(2, 4), (3, 3), (3, 45)])  # 8, 16 and 128-bit slots
+def test_one_shot_products_take_the_route_pair_slots_names(monkeypatch, kinds, spread,
+                                                             d, p, K):
+    # mod m every one-shot product, whatever each factor holds, is one
+    # Kronecker product in slots for (m-1) times the lighter weight, unless
+    # its box has over PAIR_SLOTS slots per term pair; exact coefficients
+    # and a zero factor take the dict multiply; no product walks
+    a, b = one_shot_factors(kinds, spread, d, p, K)
+    routes, mul_dict = [], LaurentPoly._mul_dict
+    monkeypatch.setattr(LaurentPoly, "_mul_dict",
+                        lambda f, g: routes.append("dict") or mul_dict(f, g))
+    monkeypatch.setattr(laurent, "_packed_walk", None)  # a product never walks
+    got = [a * b, b * a]
+    terms = [dict(f.terms()) for f in (a, b)]
+    spans = [[max(c) - min(c) for c in zip(*t)] for t in terms if t]
+    packs = (a.modulus is not None and len(spans) == 2 and len(a) * len(b) * laurent.PAIR_SLOTS
+             >= prod(x + y + 1 for x, y in zip(*spans)))
+    # dense pairs pack; spread ones take the dict multiply, but for two
+    # born factors in one variable (4 pairs against 127 slots)
+    if kinds not in ("zero", "exact"):
+        assert packs == (not spread or d == 1 and kinds == "born*born")
+    assert routes == ([] if packs else ["dict", "dict"])
+    if packs:  # born from slots in the narrowest width for the lighter weight
+        bits = _slot((p**K - 1) * min(sum(t.values()) for t in terms))
+        assert [[k for k in f._cache if isinstance(k, int)] for f in got] == [[bits]] * 2
+    assert got[0] == got[1] == mul_dict(as_dict(a), as_dict(b))
 
 
 @pytest.mark.parametrize("bits,new", [(8, 16), (16, 8), (8, 64), (64, 128), (128, 16),
