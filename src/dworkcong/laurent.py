@@ -12,13 +12,13 @@ exponent coordinates maps to one index, and each factor becomes one integer
 holding its residues in slots of the narrowest width that holds (m-1) times
 the sum of the lighter factor's residues (the base's in a walk): 8, 16, 32
 or 64 bits, and whole 64-bit words beyond that, so every modulus packs.  A
-one-shot product packs in Z^d, whatever its factors hold.  A walk
--- repeated products by one factor, the base -- packs in the coordinates of
-the lattice L spanned by the base's support differences (H. Cohen, A Course
-in Computational Algebraic Number Theory, 2.4), in a basis of r of them when
-some r span L -- the n-th power of x1+x2+x3+1/(x1*x2*x3), index 4, then
-fills an (n+1)**3 box -- else in L's echelon basis, inverted by the integer
-elimination of `polytope`.  Every walk starts from a power of its base, so
+one-shot product is U_1 of itself (`cartier_of_product`), packed in Z^d.
+A walk -- repeated products by one factor, the base -- packs in the
+coordinates of the lattice L spanned by the base's support differences (H.
+Cohen, A Course in Computational Algebraic Number Theory, 2.4), in a basis
+of r of them when some r span L -- the n-th power of x1+x2+x3+1/(x1*x2*x3),
+index 4, then fills an (n+1)**3 box -- else in L's echelon basis, inverted
+by the integer elimination of `polytope`.  Every walk starts from a power of its base, so
 its running power lies on one coset of L.
 
 Every power sequence -- `PowerCache.power`, `PowerCache.constant_terms`,
@@ -43,14 +43,15 @@ box's slots times its reduction period exceed COPY_SLOTS copies its rows at
 each reduction instead, cut in every coordinate, into a box fitted to the
 next one.  A walk is priced at the boxes it will carry, copies included,
 and a walk or monomial power estimated over WALK_BUDGET is refused with
-ValueError before it starts.  The dict multiply handles the rest -- exact
-coefficients and one-shot products whose box has over PAIR_SLOTS slots per
-term pair -- and is the kernel's test oracle.
+ValueError before it starts.
 
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
-Z^d of which only the slots on pZ^d are kept.  Each factor is packed once
-per slot width and cached with it.
+Z^d of which only the slots on pZ^d are kept, every slot at p = 1.  Each
+factor is packed once per slot width and cached with it.  The dict multiply
+forms the rest -- exact coefficients, a factor's coefficient map with over
+SPARSE box slots per term, and a product of factors with over PAIR_SLOTS
+box slots per term pair -- and is the kernel's test oracle.
 
 Mod m a value can be born from slots (`_born`): the power a walk keeps, a
 packed one-shot product, the difference or sum with such a value on the
@@ -250,10 +251,10 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other):  # NotImplemented, so a TypeError, for a foreign operand
         if isinstance(other, int):
             return LaurentPoly.constant(self.arity, other, p=self.p, K=self.K)
-        return other
+        return other if isinstance(other, LaurentPoly) else NotImplemented
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -271,6 +272,8 @@ class LaurentPoly:
         """self + sign * other: on slots mod m when self was born from them
         (`_packed_sum`), else on the coefficient maps."""
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         self._same_ring(other)
         if not other:
             return self
@@ -282,22 +285,23 @@ class LaurentPoly:
         return self._make(_canonical(out.items(), self.modulus))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
+        """self * other: a product is U_1 of itself (`cartier_of_product`)."""
         if isinstance(other, int):
             return self._scalar_mul(other)
-        self._same_ring(other)
-        out = _packed_product(self, other)
-        if out is None:  # priced as one step of a dict walk
-            pairs = len(self) * len(other)
-            _check_work(pairs * (_words((self, 1), (other, 1)) + DICT_PAIR), "product")
-            return self._mul_dict(other)
-        return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return cartier_of_product((self, other), 1)
 
     def _mul_dict(self, other):
-        """Term-by-term product: the exact-ring path and the packed kernel's oracle."""
+        """Term-by-term product: the dict route of `cartier_of_product` and
+        the packed kernel's oracle.  Priced as one step of a dict walk."""
         self._same_ring(other)
+        _check_work(len(self) * len(other) * (_words((self, 1), (other, 1)) + DICT_PAIR),
+                    "product")
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -324,10 +328,7 @@ class LaurentPoly:
         return self._make(_canonical(((e, c * v) for e, v in self._coeffs.items()),
                                      self.modulus))
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self._scalar_mul(other)
-        return NotImplemented
+    __rmul__ = __mul__  # int * self; a polynomial on the left takes its own __mul__
 
     def __pow__(self, n):
         """n-th power; A**0 == 1.  A polynomial of two or more terms is walked
@@ -619,23 +620,6 @@ def _packed_dot(a, b):
     B = _restride(_slot_data(b, bits), wb, keep, bits // 8,
                   [1 - l - k - y for l, k, y in zip(lo, keep, lb)], keep)
     return sum(map(mul, _values(A, bits), reversed(_values(B, bits)))) % a.modulus
-
-
-def _packed_product(a, b):
-    """a * b mod m as one Kronecker product in Z^d (`_kronecker`), born from
-    its slots, whatever each factor holds; None for the dict multiply when
-    the coefficients are exact, a factor is 0 or the box has over PAIR_SLOTS
-    slots per term pair."""
-    m = a.modulus
-    if m is None or not a or not b:
-        return None
-    lo, wide = _product_box((a, b))
-    if len(a) * len(b) * PAIR_SLOTS < prod(wide):
-        return None
-    x, bits, top = _kronecker((a, b), wide)
-    if top >= m:
-        x = _reducer(m, bits, prod(wide))(x)
-    return _born(a, lo, wide, bits, x.to_bytes(prod(wide) * bits // 8, _ORDER))
 
 
 def _reducer(m, bits, slots):
@@ -1315,31 +1299,24 @@ def _restride(data, widths, new, size, lo=None, keep=None):
     return block(at, 0) if last else view[at:at + row]
 
 
-# Box slots per term over which a value born from slots is decoded at birth:
-# its box then costs more to carry than its terms (SIMPLEX3's powers fill
-# 1/48 of their Z^3 boxes; Apery's ghost terms at p = 3 fill 1/76 to all)
+# Box slots per term over which a value born from slots is decoded at birth,
+# and over which a factor's coefficient map sends its product to the dict
+# multiply: its box then costs more to carry than its terms (SIMPLEX3's
+# powers fill 1/48 of their Z^3 boxes; Apery's ghost terms at p = 3 fill 1/76
+# to all).
 SPARSE = 32
 # Box slots of a packed product that cost about as much as one term pair of
-# its dict route.  It alone sends a modular one-shot product to the dict
-# multiply, and a Cartier product counts only its pairs on pZ^d against it.
+# its dict route: a product of two or more factors with more box slots per
+# term pair takes the dict multiply, U_p counting only its pairs on pZ^d.
 # Measured on Cartier products: U_p of the Apery products at p = 2, 3, 5 ran
 # fastest packed from 32 to 128, those of x1+x2+x3+1/(x1*x2*x3) at p = 5,
 # whose powers fill 2 % of their boxes, from 1 to 128.
 PAIR_SLOTS = 64
 
 
-def _product_box(factors):
-    """(lo, wide): the box of the product of the nonzero factors, the sum of
-    their boxes."""
-    boxes = [_box(f) for f in factors]
-    lo = [sum(c) for c in zip(*(box[0] for box in boxes))]
-    wide = [sum(c) - len(factors) + 1 for c in zip(*(box[1] for box in boxes))]
-    return lo, wide
-
-
 def _kronecker(factors, wide):
     """The product of the nonzero factors mod m as one Kronecker product
-    over their box `wide` (`_product_box`), the heaviest first, in slots
+    over their box `wide`, the sum of theirs, the heaviest first, in slots
     that hold m-1 times the weight of any other, reduced before a factor
     could overflow them: (x, bits, top), top bounding x's slots.  Priced
     like a walk's step, its box in those slots, before it allocates."""
@@ -1363,52 +1340,61 @@ def _kronecker(factors, wide):
 def cartier_of_product(factors, p):
     """U_p of the product of the factors: its terms with every exponent in
     pZ^d, each exponent divided by p.  This is the Cartier operator of Dwork
-    theory, and CT(A(x) * B(x**p)) == CT(U_p(A) * B).
+    theory, and CT(A(x) * B(x**p)) == CT(U_p(A) * B).  U_1 is the product
+    itself, and `LaurentPoly.__mul__` forms a product as that.
 
-    Mod m the factors are one Kronecker product in Z^d (`_kronecker`), read
-    from their slots (`_slot_data`: a value born from slots gives its own),
-    and the result is born from the slots on pZ^d, one array slice per kept
-    row.  Exact coefficients, and a product whose term pairs on pZ^d are
-    fewer than its box's slots / PAIR_SLOTS (but for one factor born from
-    slots, of which U_p is a slice), take the dict multiply: all
-    factors but the longest, then only the pairs with the longest that land
-    on pZ^d, found by its terms' classes mod p."""
-    factors = sorted(factors, key=len)
+    One rule picks the route.  A zero factor gives 0 at once.  Exact
+    coefficients take the dict multiply (`_cartier_dict`), as does a factor
+    holding a coefficient map with over SPARSE box slots per term, and a
+    product of two or more factors with over PAIR_SLOTS box slots per term
+    pair on pZ^d.  Anything else is one Kronecker product in Z^d
+    (`_kronecker`), read from the factors' slots (`_slot_data`: a value born
+    from slots gives its own), whose result is born from its slots on pZ^d,
+    one array slice per kept row, or from all of them at p = 1."""
     ring, d, m = factors[0], factors[0].arity, factors[0].modulus
     for f in factors[1:]:
         ring._same_ring(f)
-    if not ring:
+    factors = sorted(factors, key=len)
+    if not factors[0]:
         return ring._make({})
     if m is None:
         return _cartier_dict(factors, p)
-    lo, wide = _product_box(factors)
-    sliced = len(factors) == 1 and "len" in ring._cache  # U_p slices its slots
-    if not sliced and prod(map(len, factors)) * PAIR_SLOTS < prod(wide) * p**d:
+    boxes = [_box(f) for f in factors]
+    lo = [sum(c) for c in zip(*(box[0] for box in boxes))]
+    wide = [sum(c) - len(factors) + 1 for c in zip(*(box[1] for box in boxes))]
+    n = prod(wide)
+    # a value born from slots is never that sparse for its box (`_born`)
+    if any(len(f) * SPARSE < prod(box[1]) for f, box in zip(factors, boxes)) or (
+            len(factors) > 1 and prod(map(len, factors)) * PAIR_SLOTS < n * p**d):
         return _cartier_dict(factors, p)
     x, bits, top = _kronecker(factors, wide)
-    slots = _slots(x, bits, prod(wide))
-    first = [-l % p for l in lo]
-    kept_widths = [len(range(f, w, p)) for f, w in zip(first, wide)]
-    strides = _strides(wide)
-    kept = slots[:0]
-    for u in product(*(range(f, w, p) for f, w in zip(first[:-1], wide[:-1]))):
-        at = sum(map(mul, u, strides)) + first[-1]
-        kept += slots[at:at - first[-1] + wide[-1]:p]
-    data = _data(kept, bits)
+    if p > 1:  # the slots on pZ^d, one array slice per kept row
+        slots, first, strides = _slots(x, bits, n), [-l % p for l in lo], _strides(wide)
+        kept = slots[:0]
+        for u in product(*(range(f, w, p) for f, w in zip(first[:-1], wide[:-1]))):
+            at = sum(map(mul, u, strides)) + first[-1]
+            kept += slots[at:at - first[-1] + wide[-1]:p]
+        lo = [(l + f) // p for l, f in zip(lo, first)]
+        wide = [len(range(f, w, p)) for f, w in zip(first, wide)]
+        x, n = int.from_bytes(_data(kept, bits), _ORDER), len(kept)
     if top >= m:  # reduce the kept slots only
-        data = _reducer(m, bits, len(kept))(int.from_bytes(data, _ORDER)).to_bytes(
-            len(data), _ORDER)
-    return _born(ring, [(l + f) // p for l, f in zip(lo, first)], kept_widths, bits, data)
+        x = _reducer(m, bits, n)(x)
+    return _born(ring, lo, wide, bits, x.to_bytes(n * bits // 8, _ORDER))
 
 
 def _cartier_dict(factors, p):
-    """`cartier_of_product` by the dict multiply, the factors sorted by length."""
+    """`cartier_of_product` by the dict multiply, the factors sorted by
+    length: at p = 1 their product, else the product of all but the longest
+    and then only its pairs with the longest that land on pZ^d, found by the
+    longest's terms' classes mod p."""
     *rest, longest = factors
-    acc = LaurentPoly.one(longest.arity, p=longest.p, K=longest.K)
+    acc = rest.pop(0) if rest else LaurentPoly.one(longest.arity, p=longest.p, K=longest.K)
     for f in rest:
         if not acc:
             break
         acc = acc._mul_dict(f)
+    if p == 1:
+        return acc._mul_dict(longest)
     out = {}
     get = out.get
     classes = _classes(longest, p)
@@ -1513,14 +1499,20 @@ class TruncSeries:
     __hash__ = None
 
     def __add__(self, other):
-        self._same_ring(other)  # the constructor reduces mod p**K
-        return TruncSeries(self.p, self.K, self.N, map(add, self.coeffs, other.coeffs))
+        return self._termwise(add, other)
 
     def __sub__(self, other):
-        self._same_ring(other)
-        return TruncSeries(self.p, self.K, self.N, map(sub, self.coeffs, other.coeffs))
+        return self._termwise(sub, other)
+
+    def _termwise(self, op, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
+        self._same_ring(other)  # the constructor reduces mod p**K
+        return TruncSeries(self.p, self.K, self.N, map(op, self.coeffs, other.coeffs))
 
     def __mul__(self, other):
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         self._same_ring(other)
         N = self.N
         return TruncSeries(self.p, self.K, N, _mul_mod_lists(

@@ -13,6 +13,7 @@ import sys
 from itertools import product
 from math import comb, factorial, prod
 from operator import gt, le, mul
+from unittest import mock
 
 import pytest
 
@@ -30,7 +31,6 @@ from dworkcong.laurent import (
     _mul_mod_lists,
     _pack,
     _PackedWalk,
-    _packed_product,
     _packed_walk,
     _passes,
     _reducer,
@@ -63,8 +63,10 @@ def dense_poly(rng, arity, radius, p, K):
 
 
 def packed(a, b):
-    """Whether a * b takes the Kronecker kernel."""
-    return _packed_product(a, b) is not None
+    """Whether a * b takes the Kronecker kernel: `_kronecker` runs for it."""
+    with mock.patch.object(laurent, "_kronecker", wraps=laurent._kronecker) as kronecker:
+        a * b
+    return kronecker.called
 
 
 def line(coeff, exponents, p, K):
@@ -131,12 +133,17 @@ def test_empty_factors():
 def test_sparse_factors_take_the_dict_path():
     lam = parse_poly(APERY_POLY_SRC, 2, p=3, K=3)
     f = lam * lam * lam
-    # 39 * 39 term pairs against 61**2 box slots pack; against 493**2 they
-    # are over PAIR_SLOTS slots a pair
-    assert packed(f.substitute_power(9), f)
-    ghost = f.substitute_power(81)  # the support spread over an 81x wider box
-    assert not packed(ghost, f)
-    assert ghost * f == ghost._mul_dict(f)
+    # spread by 9, f's 39 terms fill 1/78 of their 55 x 55 box, over SPARSE
+    # slots per term, so the spread value is a coefficient map too sparse to
+    # pack, though the 39 * 39 term pairs against 61**2 box slots are under
+    # PAIR_SLOTS slots a pair; spread by 81 they are over it too
+    for q in (9, 81):
+        spread = f.substitute_power(q)
+        assert "len" not in spread._cache and len(spread) * laurent.SPARSE < prod(
+            laurent._box(spread)[1])
+        assert not packed(spread, f) and not packed(f, spread)
+        assert spread * f == spread._mul_dict(f)
+    assert packed(f.substitute_power(3), f)
 
 
 def test_exact_ring_takes_the_dict_path():
@@ -1130,23 +1137,30 @@ def test_one_shot_products_take_the_route_pair_slots_names(monkeypatch, kinds, s
                                                              d, p, K):
     # mod m every one-shot product, whatever each factor holds, is one
     # Kronecker product in slots for (m-1) times the lighter weight, unless
-    # its box has over PAIR_SLOTS slots per term pair; exact coefficients
-    # and a zero factor take the dict multiply; no product walks
+    # a factor's coefficient map has over SPARSE box slots per term or the
+    # box has over PAIR_SLOTS slots per term pair; exact coefficients take
+    # the dict multiply; a zero factor takes neither; no product walks
     a, b = one_shot_factors(kinds, spread, d, p, K)
-    routes, mul_dict = [], LaurentPoly._mul_dict
+    routes, mul_dict, kronecker = [], LaurentPoly._mul_dict, laurent._kronecker
     monkeypatch.setattr(LaurentPoly, "_mul_dict",
                         lambda f, g: routes.append("dict") or mul_dict(f, g))
+    monkeypatch.setattr(laurent, "_kronecker",
+                        lambda fs, wide: routes.append("packed") or kronecker(fs, wide))
     monkeypatch.setattr(laurent, "_packed_walk", None)  # a product never walks
     got = [a * b, b * a]
     terms = [dict(f.terms()) for f in (a, b)]
     spans = [[max(c) - min(c) for c in zip(*t)] for t in terms if t]
-    packs = (a.modulus is not None and len(spans) == 2 and len(a) * len(b) * laurent.PAIR_SLOTS
-             >= prod(x + y + 1 for x, y in zip(*spans)))
+    sparse = any("len" not in f._cache and len(f) * laurent.SPARSE < prod(s + 1 for s in f_spans)
+                 for f, f_spans in zip((a, b), spans))
+    packs = (a.modulus is not None and len(spans) == 2 and not sparse and len(a) * len(b)
+             * laurent.PAIR_SLOTS >= prod(x + y + 1 for x, y in zip(*spans)))
     # dense pairs pack; spread ones take the dict multiply, but for two
     # born factors in one variable (4 pairs against 127 slots)
     if kinds not in ("zero", "exact"):
         assert packs == (not spread or d == 1 and kinds == "born*born")
-    assert routes == ([] if packs else ["dict", "dict"])
+        assert sparse == (spread and kinds != "born*born")  # a spread map
+    route = [] if kinds == "zero" else ["packed" if packs else "dict"]
+    assert routes == route * 2
     if packs:  # born from slots in the narrowest width for the lighter weight
         bits = _slot((p**K - 1) * min(sum(t.values()) for t in terms))
         assert [[k for k in f._cache if isinstance(k, int)] for f in got] == [[bits]] * 2

@@ -71,6 +71,30 @@ def test_ring_and_arity_mismatch():
         xpow(1, p=5, K=1) + xpow(1, p=5, K=2)
 
 
+@pytest.mark.parametrize("other", ["x", 1.5, None, TruncSeries(5, 1, 2, [1, 1])],
+                         ids=["str", "float", "None", "series"])
+@pytest.mark.parametrize("ring", [(None, None), (5, 1)])
+def test_operators_refuse_unsupported_operands(other, ring):
+    # each operator returns NotImplemented, so Python raises TypeError, on
+    # either side of a polynomial or a series; == stays False
+    p, K = ring
+    values = [xpow(1, p=p, K=K) + 1, TruncSeries(5, 1, 2, [1, 2])]
+    if isinstance(other, TruncSeries):
+        values = values[:1]  # a series with a series is the series kernel
+    for value in values:
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            for a, b in ((value, other), (other, value)):
+                with pytest.raises(TypeError):
+                    op(a, b)
+        assert value != other and not value == other
+    if isinstance(other, TruncSeries):  # a series takes no int either
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(other, 2)
+            with pytest.raises(TypeError):
+                op(2, other)
+
+
 def test_canonical_form_drops_zeros():
     a = LaurentPoly(1, {(0,): 6, (1,): 10}, p=5, K=1)
     assert a.support() == [(0,)]
