@@ -1,5 +1,6 @@
 import math
 import random
+from operator import add, mul, sub
 
 import pytest
 
@@ -81,18 +82,14 @@ def test_operators_refuse_unsupported_operands(other, ring):
     values = [xpow(1, p=p, K=K) + 1, TruncSeries(5, 1, 2, [1, 2])]
     if isinstance(other, TruncSeries):
         values = values[:1]  # a series with a series is the series kernel
-    for value in values:
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-            for a, b in ((value, other), (other, value)):
-                with pytest.raises(TypeError):
-                    op(a, b)
-        assert value != other and not value == other
+    pairs = [(value, other) for value in values] + [(other, value) for value in values]
     if isinstance(other, TruncSeries):  # a series takes no int either
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        pairs += [(other, 2), (2, other)]
+    for op in (add, sub, mul):
+        for a, b in pairs:
             with pytest.raises(TypeError):
-                op(other, 2)
-            with pytest.raises(TypeError):
-                op(2, other)
+                op(a, b)
+    assert all(value != other and not value == other for value in values)
 
 
 def test_canonical_form_drops_zeros():
