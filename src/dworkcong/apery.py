@@ -17,15 +17,15 @@ terms in the test suite.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly
-from .polyparse import parse_poly
-
 APERY_POLY_SRC = "(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)"
 APERY_ARITY = 2
 
 
-def apery_polynomial(p=None, K=None) -> LaurentPoly:
-    """The 8-term Apery Laurent polynomial (constant term 3)."""
+def apery_polynomial(p=None, K=None):
+    """The 8-term Apery `LaurentPoly` (constant term 3).  The parser is
+    imported here, so that importing this module compiles no other."""
+    from .polyparse import parse_poly
+
     return parse_poly(APERY_POLY_SRC, APERY_ARITY, p=p, K=K)
 
 

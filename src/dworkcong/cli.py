@@ -15,6 +15,10 @@ identical invocations produce byte-identical structured output.
 
 from __future__ import annotations
 
+# laurent, the largest module, is compiled first, while the interpreter holds
+# little else: the import then peaks lower
+from .laurent import constant_term_sequence
+
 import argparse
 import functools
 import json
@@ -22,7 +26,6 @@ import sys
 
 from . import congruence as cong
 from .apery import APERY_POLY_SRC
-from .laurent import constant_term_sequence
 from .polyparse import ParseError, parse_poly
 from .polytope import _admissibility, newton_polytope
 from .unitroot import unit_root_compare, unit_root_sweep

@@ -41,9 +41,11 @@ origin and -K.(base support), so the rows of the first box coordinate
 outside that hull are masked off or shifted out.  A walk whose lasting
 box's slots times its reduction period exceed COPY_SLOTS copies its rows at
 each reduction instead, cut in every coordinate, into a box fitted to the
-next one.  A walk is priced at the boxes it will carry, copies included,
-and a walk or monomial power estimated over WALK_BUDGET is refused with
-ValueError before it starts.
+next one.  Over Z a walk is the dict multiply step by step, and once no
+power is left to keep it drops, before each step, the running power's terms
+outside that hull's box.  A walk is priced at the boxes it will carry, copies
+and cuts included, and a walk or monomial power estimated over WALK_BUDGET
+is refused with ValueError before it starts.
 
 `cartier_of_product` forms U_p of a product, its terms on pZ^d with their
 exponents divided by p (the Cartier operator), as one Kronecker product in
@@ -759,8 +761,9 @@ SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
 WALK_BUDGET = 10**9
 # A dict term pair's fixed cost: its exponent tuple and dict update took 490
 # to 680 ns per box pair (exact Apery walks to N = 90 and 150, (1+x1)^3000),
-# however few words its coefficients have, so exact Apery is refused from
-# --N 151, about 20 s, as a packed walk is near 24 s.
+# however few words its coefficients have.  Priced at the boxes of the cut
+# walk, exact Apery is refused from --N 237; --N 236 takes 13 to 23 s, as a
+# packed walk at the bound is near 24 s.
 DICT_PAIR = 20
 # A packed walk with a reduction inside it, growing in a box coordinate beyond
 # the first, copies its rows at each reduction when its lasting box's slots
@@ -1130,14 +1133,45 @@ def _factored(base, weight):
 
 
 class _DictWalk:
-    """The same walk through `LaurentPoly.__mul__`, one product per step."""
+    """The same walk through `LaurentPoly.__mul__`, one product per step.
 
-    def __init__(self, cur, base):
-        self.cur = cur
-        self.base = base
+    After step `keep` no power is kept, and before each later step the
+    running power is cut to the exponents a later constant term can read:
+    with `left` steps to come, CT(cur * base**j), j <= left, reads cur only
+    where each coordinate e_j lies in [min(0, -left*max_j), max(0, -left*min_j)],
+    min_j and max_j bounding base's support -- the box of the hull of the
+    origin and -left.(base support) that `_PackedWalk._fit` cuts by.  The
+    running power's box is followed step by step, so a coordinate is filtered
+    only once that box leaves the cut.
+    """
+
+    def __init__(self, cur, base, steps, keep):
+        self.cur, self.base, self.left, self.keep = cur, base, steps, keep
+        self.spans = [(min(c), max(c)) for c in zip(*base._coeffs)]
+        self.box = [[min(c), max(c)] for c in zip(*cur._coeffs)] if self.spans else []
 
     def step(self):
+        if self.keep > 0:
+            self.keep -= 1
+        elif self.box:
+            self._cut()
+        self.left -= 1
         self.cur = self.cur * self.base
+        for b, (lo, hi) in zip(self.box, self.spans):
+            b[0] += lo
+            b[1] += hi
+
+    def _cut(self):
+        coeffs, left = self.cur._coeffs, self.left
+        for j, (b, (lo, hi)) in enumerate(zip(self.box, self.spans)):
+            low, high = min(0, -left * hi), max(0, -left * lo)
+            if b[0] < low or b[1] > high:
+                b[0], b[1] = max(b[0], low), min(b[1], high)
+                coeffs = {e: c for e, c in coeffs.items() if low <= e[j] <= high}
+        if coeffs is not self.cur._coeffs:
+            self.cur = self.cur._make(coeffs)
+            if not coeffs:  # no later constant term reads the running power
+                self.box = []
 
     def constant_term(self):
         return self.cur.constant_term()
@@ -1148,28 +1182,39 @@ class _DictWalk:
 
 def _walk(cur, base, steps, keep=None):
     """The walk from cur by `steps` multiplications by base, packed when the
-    kernel applies, decoding no power after step `keep`; refused
+    kernel applies, keeping no power after step `keep` (default: steps), so
+    cut from there to the exponents a later constant term reads; refused
     (`_check_work`) before it allocates."""
+    keep = steps if keep is None else keep
     walk = _packed_walk(cur, base, steps, keep)
     if walk is None:
-        _check_work(_dict_walk_work(cur, base, steps))
-    return walk or _DictWalk(cur, base)
+        _check_work(_dict_walk_work(cur, base, steps, keep))
+    return walk or _DictWalk(cur, base, steps, keep)
 
 
 WORK_CHUNKS = 1024  # at most this many terms in a dict walk's estimate
 
 
-def _dict_walk_work(cur, base, steps):
+def _dict_walk_work(cur, base, steps, keep):
     """Slot-words of a dict walk: step t pays len(base) term pairs per slot
-    of the box of cur * base**t, times DICT_PAIR plus the 64-bit words of
-    sum|cur| * sum|base|**t, plus its fixed cost; an empty factor pays only
-    that.  The steps are summed in WORK_CHUNKS runs, each priced at its last
-    step (box and words only grow), until the sum is over WALK_BUDGET."""
-    spans = list(zip(_spans(cur), _spans(base)))
+    of its product's box, times DICT_PAIR plus the 64-bit words of
+    sum|cur| * sum|base|**t, plus its fixed cost.  After step `keep` that box
+    is the running power's, cut as `_DictWalk` cuts it, plus base's.  An
+    empty factor pays only the fixed cost.  The steps are summed in
+    WORK_CHUNKS runs, each priced at the widest box of its steps and the
+    words of its last, until the sum is over WALK_BUDGET."""
+    if not cur or not base:
+        return steps * 128
+    bounds = [(min(c), max(c), min(b), max(b))
+              for c, b in zip(zip(*cur._coeffs), zip(*base._coeffs))]
     chunk, work, t = -(-steps // WORK_CHUNKS), 0, 0
     while t < steps and work <= WALK_BUDGET:
-        last = min(t + chunk, steps)
-        box = prod(s + last * b + 1 for s, b in spans)
+        last, box = min(t + chunk, steps), 1
+        for clo, chi, blo, bhi in bounds:  # the running power's range in the run
+            lo, hi = clo + min(t * blo, (last - 1) * blo), chi + max(t * bhi, (last - 1) * bhi)
+            if t >= keep:  # the cut only narrows as the steps to come fall
+                lo, hi = max(lo, min(0, (t - steps) * bhi)), min(hi, max(0, (t - steps) * blo))
+            box *= hi - lo + 1 + bhi - blo if hi >= lo else 0
         pair = DICT_PAIR + _words((cur, 1), (base, last))
         work += (last - t) * (len(base) * box * pair + 128)
         t = last
@@ -1183,8 +1228,9 @@ def constant_term_sequence(lam: LaurentPoly, N: int) -> list:
     Uses iterated multiplication (not binary powering): every intermediate
     power is needed anyway, and multiplying the running power by the fixed
     small factor is cheaper than repeated squaring of large supports.  It is
-    the walk of a fresh `PowerCache` that keeps no power, so it is trimmed
-    from its first step.
+    the walk of a fresh `PowerCache` that keeps no power, so it is cut from
+    its first step to the exponents a later constant term reads, exact
+    walks (`_DictWalk`) as packed ones.
     """
     if not isinstance(N, int) or N < 0:
         raise ValueError("N must be a non-negative integer")
@@ -1414,7 +1460,9 @@ class PowerCache:
     actually used.  Every walk records the constant terms past those known;
     `constant_terms` walks on from the largest power saved at or below the
     last known one -- mark first, then ask for constant terms, and the whole
-    cache fills in a single sweep.  A walk is trimmed after its last save.
+    cache fills in a single sweep.  A walk is cut after its last save, exact
+    (`_DictWalk`) or packed, to the exponents a later constant term reads, so
+    every power it saves is whole.
     Mod p**K every saved power, and the base once `power(1)` hands it out,
     is born from slots (`_born`); a walk over Z^d starts from their slots.
     """

@@ -214,7 +214,9 @@ def test_check_ignores_unused_huge_s(argv, fmt):
     ["ct", "--N", "100000000", "--p", "3", "--K", "2"],
     ["ct", "--N", "100000000"],  # exact: the dict walk
     ["ct", "--N", "300"],  # exact, priced by its coefficients' 64-bit words
-    ["ct", "--N", "151"],  # exact: each term pair's fixed cost (--N 150 takes about 20 s)
+    # exact: each term pair's fixed cost at the boxes of the cut walk (--N 236
+    # takes 13 to 23 s)
+    ["ct", "--N", "237"],
     ["ct", "--N", "1200", "--p", "3", "--K", "40"],  # slot-steps fit, 128-bit slot-words not
     ["ct", "--poly", "x1", "--d", "1", "--N", "100000000", "--p", "3", "--K", "1"],  # cost per step
     # an empty base: every step still pays its fixed cost

@@ -1174,3 +1174,60 @@ def test_slot_widths_convert(bits, new):
     values = [rng.randrange(256) for _ in range(37)] + [0, 255]
     data = laurent._data(values, bits)
     assert list(laurent._values(laurent._rewidth(data, bits, new), new)) == values
+
+
+# Exact walks: the dict walk, cut after its last kept power to the exponents
+# a later constant term reads.
+EXACT_WALKS = [
+    (CHEB, 1), ("x1+x1^2", 1),  # a box that leaves out the origin
+    ("2*x1-x1^-1+3-x1^-2", 1),
+    (APERY_POLY_SRC, 2), ("x1+x2+1/(x1*x2)-3", 2), ("x1-x1^-1+2*x2-x2^-1*x1", 2),
+    (SIMPLEX3, 3), ("x1+x2*x3^-1-2*x3+x1^-1*x2^-1+1", 3),
+]
+
+
+@pytest.mark.parametrize("src,d", EXACT_WALKS)
+def test_exact_walks_match_dict_walk(src, d):
+    lam = parse_poly(src, d)
+    assert _packed_walk(lam, lam, 1) is None
+    want = [q.constant_term() for q in dict_powers(lam, 24)]
+    for N in (0, 1, 2, 24):
+        assert constant_term_sequence(lam, N) == want[:N + 1]
+    cache = PowerCache(lam)
+    cache.mark([3, 8, 13])
+    assert cache.constant_terms(20) == want[:21]
+    for n in (3, 8, 13):  # saved before the cut: whole powers
+        assert cache._saved[n] == dict_powers(lam, n)[n]
+    assert cache.power(16) == dict_powers(lam, 16)[16]  # walked on from 13, uncut
+
+
+def test_exact_walk_from_outside_the_cut_box():
+    # every exponent of base is positive, so with k steps to come a constant
+    # term reads exponents in [-2k, 0], the origin's end included
+    base = parse_poly("x1+x1^2", 1)
+    cur = parse_poly("x1^-9+3*x1^-6-x1^-4+2*x1^-1+5+x1^3", 1)
+    powers = [cur]
+    for _ in range(8):
+        powers.append(powers[-1]._mul_dict(base))
+    walk = laurent._walk(cur, base, 8, 0)
+    got = []
+    for _ in range(8):
+        walk.step()
+        got.append(walk.constant_term())
+    assert got == [q.constant_term() for q in powers[1:]]
+
+
+def test_exact_walks_carry_half_the_terms(monkeypatch):
+    # exact Apery to N = 60: the running powers multiplied, cut against
+    # whole, and the walk's estimate against the work it does
+    lam, N = parse_poly(APERY_POLY_SRC, 2), 60
+    whole = sum(map(len, dict_powers(lam, N - 1)[1:]))
+    carried, mul_dict = [], LaurentPoly._mul_dict
+    monkeypatch.setattr(LaurentPoly, "_mul_dict",
+                        lambda f, g: carried.append(max(len(f), len(g))) or mul_dict(f, g))
+    assert constant_term_sequence(lam, N) == apery_numbers_mod(N, 10**200)
+    assert len(carried) == N - 1 and 2 * sum(carried) <= whole
+    estimate = laurent._dict_walk_work(lam, lam, N - 1, 0)
+    pairs = len(lam) * sum(carried)
+    assert pairs * laurent.DICT_PAIR < estimate < 2 * pairs * laurent.DICT_PAIR
+    assert estimate < laurent._dict_walk_work(lam, lam, N - 1, N - 1) / 2  # uncut

@@ -49,13 +49,8 @@ EXPORTED = """
 
 
 def test_exported_names_are_pinned():
-    init = SOURCES[0].parent / "__init__.py"
-    names = []
-    for node in ast.parse(init.read_text(), str(init)).body:
-        if isinstance(node, ast.ImportFrom):
-            names += [alias.asname or alias.name for alias in node.names]
-        elif isinstance(node, ast.Assign):
-            names += [target.id for target in node.targets]
-    assert sorted(names) == sorted(EXPORTED)
+    # `__init__` resolves each exported name on first use from one
+    # name -> module table; `__version__` is its one assignment
     import dworkcong
+    assert sorted([*dworkcong._MODULE, "__version__"]) == sorted(EXPORTED)
     assert all(hasattr(dworkcong, name) for name in EXPORTED)
