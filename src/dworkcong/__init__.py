@@ -3,7 +3,8 @@ Dwork-type congruences mod p**s, and p-adic unit roots for the Apery family.
 
 Each exported name, and each module, is imported on first use (PEP 562) and
 then kept here, so `import dworkcong.apery`, `.polytope` or `.padic` compiles
-that one module, and `from dworkcong import *` imports them all.
+that module and at most the price list, `budget`, and `from dworkcong import *`
+imports them all.
 """
 
 import importlib

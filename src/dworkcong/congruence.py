@@ -39,8 +39,8 @@ from .ghost import (
     length_p,
     reconstruct_b,
 )
-from .laurent import (LaurentPoly, TruncSeries, _check_log2, _check_series,
-                      constant_term_sequence)
+from .budget import check, check_series
+from .laurent import LaurentPoly, TruncSeries, constant_term_sequence
 from .padic import _context_modulus
 from .polytope import is_admissible
 
@@ -98,11 +98,10 @@ def _precision(p, s, K):
 
 def _b_through(p, e, what):
     """p**e for a check that needs b through about p**e, refused first when
-    p**e walk steps alone are over laurent's budget: compared in log2 (e
+    p**e walk steps alone are over WALK_BUDGET: compared in log2 (e
     capped at 2**64), so that p**e is never formed then."""
     _context_modulus(p, 1)  # p prime, so log2(p) >= 1
-    if e > 0:
-        _check_log2(min(e, 2**64) * log2(p), what)
+    check(min(e, 2**64) * log2(p), what, log=True)
     return p**e
 
 
@@ -169,7 +168,7 @@ def check_c2(lam: LaurentPoly, p: int, s: int, K=None, b=None, force=False):
     admissible = _admissible(lam, force)
     need = _b_through(p, s + 1, "b through p**(s+1)")
     N = need + p**s - p - 1
-    _check_series(N + 1, _context_modulus(p, K), 2)
+    check_series(N + 1, _context_modulus(p, K), 2)
     bs = _prepare(lam, p, K, b, need)
 
     def f(k):
@@ -191,7 +190,7 @@ def check_c1(lam: LaurentPoly, p: int, s: int, N: int, K=None, b=None, force=Fal
     if N < 0:
         raise ValueError("N must be non-negative")
     # two products and two Newton inversions, each two products a doubling
-    _check_series(N + 1, _context_modulus(p, K), 2 + 4 * N.bit_length())
+    check_series(N + 1, _context_modulus(p, K), 2 + 4 * N.bit_length())
     t0 = time.perf_counter()
     admissible = _admissible(lam, force)
     bs = _prepare(lam, p, K, b, N + 1)

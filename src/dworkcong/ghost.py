@@ -78,9 +78,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 
-from .laurent import (_ORDER, WALK_BUDGET, LaurentPoly, PowerCache, _born,
-                      _check_work, _reducer, _rewidth, _slot, _spans,
-                      cartier_of_product, constant_term_of_product)
+from .budget import FOLD_COST, WALK_BUDGET, check
+from .laurent import (_ORDER, LaurentPoly, PowerCache, _born, _reducer, _rewidth, _slot,
+                      _spans, cartier_of_product, constant_term_of_product)
 from .padic import PadicInt, _context_modulus
 
 
@@ -184,12 +184,6 @@ def enumerate_indecomposable(k: int):
 
 
 # -- ghost calculator ---------------------------------------------------------
-
-# Walk slot-words per slot-word of a fold product: the scaled fold took 6 to
-# 66 ns per slot-word of `_check_fold_work`'s estimate (check lemma at
-# p = 2, 3, 5, n up to 728, on a 2-core x86-64 host; 66 at p = 5 to 624), a
-# walk step 20 to 24.
-FOLD_COST = 3
 
 
 class GhostCalculator:
@@ -321,7 +315,7 @@ class GhostCalculator:
 
     def _check_fold_work(self, n_max: int) -> int:
         """Refuse c_n for every n <= n_max, mod p**K, when the fold's
-        estimated slot-words are over laurent's WALK_BUDGET, before any ghost
+        estimated slot-words are over WALK_BUDGET, before any ghost
         work; else return the estimate.  For the n of k digits, each tuple
         c_direct reads is priced at digits p - 1: every level product is its
         box, the state's plus its factors', in words of its scaled slot
@@ -351,7 +345,7 @@ class GhostCalculator:
                     work += FOLD_COST * times * slots * words
                     state = [b // p for b in box]
             k += 1
-        _check_work(work, "ghost layer")
+        check(work, "ghost layer")
         return work
 
     def indecomposable_sum(self, n: int) -> LaurentPoly:

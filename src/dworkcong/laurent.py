@@ -83,8 +83,10 @@ from itertools import chain, combinations, compress, count, islice, product
 from math import ceil, log2, prod
 from operator import add, mul, neg, sub
 
+from .budget import (COPY_BYTES, DICT_PAIR, FIXED_COST, RELAYOUT, WALK_BUDGET, check,
+                     check_power, check_series)
 from .padic import _context_modulus
-from .polytope import _about, _eliminate
+from .polytope import _eliminate
 
 
 def _check_ring(p, K):
@@ -302,8 +304,7 @@ class LaurentPoly:
         """Term-by-term product: the dict route of `cartier_of_product` and
         the packed kernel's oracle.  Priced as one step of a dict walk."""
         self._same_ring(other)
-        _check_work(len(self) * len(other) * (_words((self, 1), (other, 1)) + DICT_PAIR),
-                    "product")
+        check(len(self) * len(other) * (_words((self, 1), (other, 1)) + DICT_PAIR), "product")
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -343,7 +344,7 @@ class LaurentPoly:
             return PowerCache(self).power(n)
         m = self.modulus
         if m is None:
-            _check_power(next(iter(self._coeffs.values()), 0), n)
+            check_power(next(iter(self._coeffs.values()), 0), n)
         return self._make(_canonical(
             [(tuple(n * x for x in e), pow(c, n, m)) for e, c in self._coeffs.items()], m))
 
@@ -655,8 +656,7 @@ def _mul_mod_lists(a, b, m, length=None):
     if length is None:
         length = len(a) + len(b) - 1
     bits = _slot((m - 1) * max(1, min(sum(a), sum(b))))
-    if (len(a) + len(b)) * bits > 64 * 31622:  # 31622**2 is about WALK_BUDGET
-        _check_series(max(len(a), len(b)), m)
+    check_series(max(len(a), len(b)), m)
     out = [v % m for v in _slots(_pack(a, bits) * _pack(b, bits), bits)[:length]]
     return out + [0] * (length - len(out))
 
@@ -752,60 +752,12 @@ def _frame(poly, lat):
 
 
 SHIFT_ADD_TERMS = 128  # measured crossover: 121 to 169 terms (16-bit slots)
-# Slot-words: a step of a packed walk counts the slots of the box it fills
-# times ceil(bits/64), one of a dict walk len(base) term pairs per box slot
-# times DICT_PAIR plus the 64-bit words of its largest coefficient, and each
-# step 128 more for its fixed cost (about 3 us).  On a 2-core x86-64 host, for
-# fitted boxes: 19 to 25 ns each for a 16-bit Apery walk (about 25 s at the
-# bound), 51 to 58 ns for 128-bit slots, 4 to 16 ns for 8-bit sublattice walks.
-WALK_BUDGET = 10**9
-# A dict term pair's fixed cost: its exponent tuple and dict update took 490
-# to 680 ns per box pair (exact Apery walks to N = 90 and 150, (1+x1)^3000),
-# however few words its coefficients have.  Priced at the boxes of the cut
-# walk, exact Apery is refused from --N 237; --N 236 takes 13 to 23 s, as a
-# packed walk at the bound is near 24 s.
-DICT_PAIR = 20
 # A packed walk with a reduction inside it, growing in a box coordinate beyond
 # the first, copies its rows at each reduction when its lasting box's slots
 # times its period exceed COPY_SLOTS: on a 2-core x86-64 host Apery `check dig2
 # --p 7 --s 1` (9409 slots, period 1) took 1.8 ms without copies and 2.7 with,
 # `check c1 --p 2 --s 5` (16129 slots, period 3) 3.7 ms without and 3.0 with.
-# A copy is priced at RELAYOUT slot-words and one per COPY_BYTES bytes of the
-# two boxes (about 12 us and 3 ns a byte).
 COPY_SLOTS = 16384
-RELAYOUT = 1024
-COPY_BYTES = 8
-
-
-def _check_work(work, what="walk"):
-    """Refuse `work`, in slot-words, over WALK_BUDGET."""
-    if work > WALK_BUDGET:
-        _check_log2(log2(work), what)
-
-
-def _check_log2(log, what):
-    """Refuse about 2**log slot-words over WALK_BUDGET, compared in log2, so
-    that an estimate too large to form is never formed."""
-    if log > log2(WALK_BUDGET):
-        raise ValueError(f"{what} needs about {_about(log)} slot-words; "
-                         f"budget {WALK_BUDGET}")
-
-
-def _check_series(length, m, products=1):
-    """Refuse `products` kernel products of lists of at most `length`
-    residues mod m over WALK_BUDGET, compared in log2.  Each is priced like
-    a one-shot product of wide slots: words**log2(3) slot-words for the
-    64-bit words of a packed factor, slots of (m-1)**2 * length (Karatsuba)."""
-    words = -(-length * (2 * m.bit_length() + length.bit_length()) // 64)
-    if products * words * words > WALK_BUDGET:  # words**2 bounds words**log2(3)
-        _check_log2(log2(products) + log2(3) * log2(words), "series work")
-
-
-def _check_power(c, n, what="power"):
-    """Refuse forming c**n, priced as its squarings: words**log2(3)
-    slot-words for its 64-bit words (Karatsuba), compared in log2."""
-    if abs(c) > 1 and n > 0:
-        _check_log2(log2(3) * max(0.0, log2(n) + log2(log2(abs(c))) - 6), what)
 
 
 def _spans(f):
@@ -966,7 +918,7 @@ class _PackedWalk:
         box, work = copy(self), 0
         box.x = 0
         for done in range(1, self.steps + 1):
-            work += box.step() + 128
+            work += box.step() + FIXED_COST
             if box.kept:
                 rows = box.kept[0] + done * box.spans[0]
                 work += rows * box.strides[0] * box.words
@@ -1101,13 +1053,13 @@ def _packed_walk(cur, base, steps, keep=None):
         factors = [(f, _frame(f, ())) for f in base._cache["factors"]]
     spans = list(zip(frame[3], base_frame[3]))
     words = -(-bits // 64)
-    work = steps * (prod(s + steps * b + 1 for s, b in spans) * words + 128)
-    if steps * (words + 128) > WALK_BUDGET:  # a slot a step, at the least
-        _check_work(work)
+    work = steps * (prod(s + steps * b + 1 for s, b in spans) * words + FIXED_COST)
+    if steps * (words + FIXED_COST) > WALK_BUDGET:  # a slot a step, at the least
+        check(work, "walk")
     walk = _PackedWalk(cur, base, lat, frame, base_frame, bits, weight, steps,
                        steps if keep is None else keep, factors)
     if work > WALK_BUDGET:
-        _check_work(walk.work())
+        check(walk.work(), "walk")
     return walk
 
 
@@ -1184,11 +1136,11 @@ def _walk(cur, base, steps, keep=None):
     """The walk from cur by `steps` multiplications by base, packed when the
     kernel applies, keeping no power after step `keep` (default: steps), so
     cut from there to the exponents a later constant term reads; refused
-    (`_check_work`) before it allocates."""
+    (`budget.check`) before it allocates."""
     keep = steps if keep is None else keep
     walk = _packed_walk(cur, base, steps, keep)
     if walk is None:
-        _check_work(_dict_walk_work(cur, base, steps, keep))
+        check(_dict_walk_work(cur, base, steps, keep), "walk")
     return walk or _DictWalk(cur, base, steps, keep)
 
 
@@ -1204,7 +1156,7 @@ def _dict_walk_work(cur, base, steps, keep):
     WORK_CHUNKS runs, each priced at the widest box of its steps and the
     words of its last, until the sum is over WALK_BUDGET."""
     if not cur or not base:
-        return steps * 128
+        return steps * FIXED_COST
     bounds = [(min(c), max(c), min(b), max(b))
               for c, b in zip(zip(*cur._coeffs), zip(*base._coeffs))]
     chunk, work, t = -(-steps // WORK_CHUNKS), 0, 0
@@ -1216,7 +1168,7 @@ def _dict_walk_work(cur, base, steps, keep):
                 lo, hi = max(lo, min(0, (t - steps) * bhi)), min(hi, max(0, (t - steps) * blo))
             box *= hi - lo + 1 + bhi - blo if hi >= lo else 0
         pair = DICT_PAIR + _words((cur, 1), (base, last))
-        work += (last - t) * (len(base) * box * pair + 128)
+        work += (last - t) * (len(base) * box * pair + FIXED_COST)
         t = last
     return work
 
@@ -1369,7 +1321,7 @@ def _kronecker(factors, wide):
     m = factors[0].modulus
     boxes, factors = zip(*sorted(((_box(f), f) for f in factors), key=lambda bf: -bf[0][2]))
     bits = _slot((m - 1) * max([box[2] for box in boxes[1:]], default=1))
-    _check_work(prod(wide) * -(-bits // 64) + 128, "product")
+    check(prod(wide) * -(-bits // 64) + FIXED_COST, "product")
     size, reduce, x = bits // 8, None, None
     for (_, widths, weight), f in zip(boxes, factors):
         y = int.from_bytes(_restride(_slot_data(f, bits), widths, wide, size), _ORDER)

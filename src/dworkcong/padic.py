@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .budget import check_power
+
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (the smallest strong pseudoprime to all of them, psi_13).
@@ -53,8 +55,8 @@ def is_prime(n: int) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _context_modulus(p: int, K: int) -> int:
-    """Validate a (p, K) context once and return p**K, priced first as
-    laurent prices a power (`_check_power`)."""
+    """Validate a (p, K) context once and return p**K, priced first as any
+    power is (`budget.check_power`)."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p >= PRIME_TEST_BOUND:
@@ -62,8 +64,7 @@ def _context_modulus(p: int, K: int) -> int:
                          f"only below {PRIME_TEST_BOUND}")
     if not isinstance(K, int) or K < 1:
         raise ValueError(f"precision K = {K} must be an integer >= 1")
-    from .laurent import _check_power  # laurent imports this module
-    _check_power(p, K, "the modulus p**K")
+    check_power(p, K, "the modulus p**K")
     return p**K
 
 

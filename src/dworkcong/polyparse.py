@@ -62,20 +62,17 @@ def _tokenize(src: str):
             tokens.append((ch, None, i))
             i += 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
+        if "0" <= ch <= "9" or ch == "x":  # ASCII digits only, as int() reads many more
+            start = j = i + (ch == "x")
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
-            tokens.append(("int", int(src[i:j]), i))
-            i = j
-            continue
-        if ch == "x":
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            if j == i + 1:
+            if j == start:
                 raise ParseError("variable needs an index, e.g. 'x1'", i)
-            tokens.append(("var", int(src[i + 1 : j]), i))
+            try:
+                value = int(src[start:j])
+            except ValueError:  # over the interpreter's limit on digits
+                raise ParseError(f"a literal of {j - start} digits is too long", i) from None
+            tokens.append(("var" if ch == "x" else "int", value, i))
             i = j
             continue
         raise ParseError(f"unexpected character {ch!r}", i)

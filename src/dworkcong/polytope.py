@@ -28,8 +28,8 @@ rank r.
 
 The build costs about C(m, r) * m dot products for m generating points, and
 the interior scan about (bounding-box points) * (facets).  Each estimate is
-checked against GEOMETRY_BUDGET before the work starts, and a larger one is
-refused with ValueError.
+checked against `budget.GEOMETRY_BUDGET` before the work starts, and a
+larger one is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -37,27 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, log2, prod
+from math import comb, gcd, prod
 from operator import mul
 
-# Dot products of integer vectors of length <= d; on a 2-core x86-64 host a
-# hull build spends about 0.8 us on each and an interior scan 1 to 1.5 us,
-# so the bound is reached in 8 to 15 s.  The 84-point support of
-# (1+x1+x2+x3)^6/(x1*x2*x3) needs 8.0e6 for its hull (6 s).
-GEOMETRY_BUDGET = 10**7
-
-
-def _about(log):
-    """An estimate of 2**log as a refusal prints it: three digits, or the
-    power of two from 2**64 on, so that no estimate is too long to print."""
-    return f"{2**log:.3g}" if log < 64 else f"2^{log:.0f}"
-
-
-def _check_geometry(work, what):
-    """Refuse geometry estimated at more than GEOMETRY_BUDGET dot products."""
-    if work > GEOMETRY_BUDGET:
-        raise ValueError(f"{what} needs about {_about(log2(work))} dot products; "
-                         f"budget {GEOMETRY_BUDGET}")
+from .budget import check
 
 
 def _dot(a, q):
@@ -124,7 +107,7 @@ def _h_representation(points):
     pivots = _eliminate(diffs)[1]
     equations = tuple((e, _dot(e, base)) for e in _kernel(diffs, d))
     r = len(pivots)
-    _check_geometry(comb(len(points), r) * len(points), "the hull")
+    check(comb(len(points), r) * len(points), "the hull", "dot products")
     proj = [tuple(pt[c] for c in pivots) for pt in points]
     facets = set()
     if r:
@@ -219,8 +202,8 @@ class LatticePolytope:
             return []
         lows = [min(pt[t] for pt in self.points) for t in range(self.arity)]
         highs = [max(pt[t] for pt in self.points) for t in range(self.arity)]
-        _check_geometry(prod(hi - lo + 1 for lo, hi in zip(lows, highs)) * len(facets),
-                        "the interior scan")
+        check(prod(hi - lo + 1 for lo, hi in zip(lows, highs)) * len(facets),
+              "the interior scan", "dot products")
         found = []
         for cand in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
             if self.contains(cand, strict=True):

@@ -24,7 +24,8 @@ multiples of F, F_X, F_Y and F_Z span all quintics.  The tests check it
 against a search for singular points over F_{p**k}, k <= 4
 (tests/smooth_oracle.py).
 
-Every request is estimated before any work and refused above WORK_BUDGET.
+Every request is estimated before any work and refused above
+`budget.WORK_BUDGET`.
 
 Finite fields F_{p**k} are realized as quotient rings by a deterministic
 irreducible modulus (first monic irreducible in lexicographic order of the
@@ -37,29 +38,27 @@ import functools
 import os
 from dataclasses import asdict, dataclass
 from itertools import product
+from math import log2
 
 from .apery import apery_numbers_mod
+from .budget import WORK_BUDGET, check
 from .padic import PadicInt, _context_modulus, hensel_quadratic_unit_root, teichmuller
-
-# Work budget of one unit-root request, in point evaluations of a cubic
-# (about 4 microseconds each with CPython 3.11 on a 2-vCPU x86 host, so
-# the budget is about 40 s).  A request counts fibers * p**2 evaluations
-# for its point counts, plus N + N**2 // 2048 for the Apery numbers
-# b_0..b_{N-1}, N = p**s: the exact terms grow by about 3.5 bits per index,
-# so the recurrence costs time quadratic in N.
-WORK_BUDGET = 10**7
 
 
 def _check_work(p: int, s: int, fibers: int) -> None:
-    """Refuse (ValueError) a request whose estimated work is over budget."""
+    """Refuse (ValueError) a request over budget: fibers * p**2 point
+    evaluations for its point counts, plus N + N**2 // 2048 for the Apery
+    numbers b_0..b_{N-1}, N = p**s (the exact terms grow by about 3.5 bits
+    per index, so the recurrence costs time quadratic in N), in log2 when
+    p**s is too large to form."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    n = p**s if s < WORK_BUDGET.bit_length() else WORK_BUDGET + 1
-    if fibers * p * p + n + n * n // 2048 > WORK_BUDGET:
-        raise ValueError(
-            f"p={p}, s={s} with {fibers} fiber(s) needs more than the work "
-            f"budget of {WORK_BUDGET} point evaluations (b through p**s - 1 "
-            "and a point count over F_p per fiber)")
+    if s < WORK_BUDGET.bit_length():
+        n = p**s
+        log = log2(fibers * p * p + n + n * n // 2048)
+    else:  # p**s is over the budget: its square term, N**2 // 2048, outweighs the rest
+        log = 2 * min(s, 2**64) * log2(p) - 11
+    check(log, f"p={p}, s={s} with {fibers} fiber(s)", "point evaluations", log=True)
 
 
 # -- Dwork domain and approximants -------------------------------------------

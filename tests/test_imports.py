@@ -24,12 +24,26 @@ def fresh(code):
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("module", ["apery", "polytope", "padic"])
+def loaded_after(code):
+    """The package's modules in `sys.modules` once `code` has run."""
+    return set(fresh(f"import sys, json\n{code}\n"
+                     "print(json.dumps([m for m in sys.modules"
+                     " if m.partition('.')[0] == 'dworkcong']))"))
+
+
+@pytest.mark.parametrize("module", ["apery", "polytope", "padic", "budget"])
 def test_a_module_loads_alone(module):
-    loaded = fresh(f"import sys, json, dworkcong.{module}\n"
-                   "print(json.dumps(sorted(m for m in sys.modules"
-                   " if m.partition('.')[0] == 'dworkcong')))")
-    assert loaded == ["dworkcong", f"dworkcong.{module}"]
+    # each loads itself, and at most the price list, which imports no module of the package
+    loaded = loaded_after(f"import dworkcong.{module}")
+    assert {"dworkcong", f"dworkcong.{module}"} <= loaded
+    assert loaded <= {"dworkcong", f"dworkcong.{module}", "dworkcong.budget"}
+
+
+def test_a_unit_root_sweep_loads_no_polynomial_module():
+    # pricing p**K goes through the price list, not through laurent
+    loaded = loaded_after("import dworkcong.unitroot\n"
+                          "dworkcong.unitroot.unit_root_sweep(5, 2)")
+    assert loaded == {f"dworkcong{m}" for m in ["", ".apery", ".budget", ".padic", ".unitroot"]}
 
 
 def test_exported_names_resolve_to_their_modules():

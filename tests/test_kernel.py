@@ -17,7 +17,7 @@ from unittest import mock
 
 import pytest
 
-from dworkcong import laurent
+from dworkcong import budget, laurent
 from dworkcong.apery import APERY_POLY_SRC, apery_numbers_mod
 from dworkcong.congruence import check_c2
 from dworkcong.laurent import (
@@ -326,16 +326,16 @@ PROBE_WALKS = [(APERY_POLY_SRC, 3, 4, 242), (APERY_POLY_SRC, 5, 3, 624), (SIMPLE
 def carried(monkeypatch):
     """Count the slot-words every packed walk carries from here on: after
     each step, the 64-bit words of its packed integer's slots, the step's
-    fixed 128 and its re-layout; and the same with its box for the slots."""
+    fixed cost and its re-layout; and the same with its box for the slots."""
     count = {"slots": 0, "box": 0}
     step = _PackedWalk.step
 
     def counted(walk):
-        relayout = step(walk) + 128
+        relayout = step(walk) + budget.FIXED_COST
         count["slots"] += -(-walk.x.bit_length() // walk.bits) * walk.words + relayout
         rows = walk.kept[0] + walk.done * walk.spans[0] if walk.kept else 0
         count["box"] += rows * walk.strides[0] * walk.words + relayout
-        return relayout - 128
+        return relayout - budget.FIXED_COST
 
     monkeypatch.setattr(_PackedWalk, "step", counted)
     return count
@@ -348,7 +348,7 @@ def test_walk_estimates_bound_the_work_counted(monkeypatch, src, p, K, steps):
         walk = _packed_walk(lam, lam, steps, keep)
         estimate = walk.work()
         full = _frame(lam, walk.lat)[3]
-        assert estimate <= steps * (prod(s * (steps + 1) + 1 for s in full) * walk.words + 128)
+        assert estimate <= steps * (prod(s * (steps + 1) + 1 for s in full) * walk.words + budget.FIXED_COST)
         with monkeypatch.context() as m:
             count = carried(m)
             for _ in range(steps):
@@ -1229,5 +1229,5 @@ def test_exact_walks_carry_half_the_terms(monkeypatch):
     assert len(carried) == N - 1 and 2 * sum(carried) <= whole
     estimate = laurent._dict_walk_work(lam, lam, N - 1, 0)
     pairs = len(lam) * sum(carried)
-    assert pairs * laurent.DICT_PAIR < estimate < 2 * pairs * laurent.DICT_PAIR
+    assert pairs * budget.DICT_PAIR < estimate < 2 * pairs * budget.DICT_PAIR
     assert estimate < laurent._dict_walk_work(lam, lam, N - 1, N - 1) / 2  # uncut

@@ -110,6 +110,13 @@ def test_error_positions():
     assert err.value.position == 3
     with pytest.raises(ParseError):
         parse_poly("", 1)
+    # digits are ASCII only: int() would read an Arabic-Indic one as x1, fail
+    # on a superscript two, and refuse past its limit on digits
+    for src, position in [("x\u0661+x1^-1", 0), ("x1+\u00b2", 3), ("x1+" + "7" * 5000, 3),
+                          ("x" + "1" * 5000, 0)]:
+        with pytest.raises(ParseError) as err:
+            parse_poly(src, 1)
+        assert err.value.position == position
 
 
 def test_nesting_depth_bounded():

@@ -449,14 +449,14 @@ class _Estimated(Exception):
 def estimates(monkeypatch):
     """Record each geometry estimate that passes the budget, then stop."""
     seen = []
-    check = polytope._check_geometry
+    check = polytope.check
 
-    def record(work, what):
-        check(work, what)
-        seen.append((what, work))
+    def record(work, what, unit):
+        check(work, what, unit)
+        seen.append((what, work, unit))
         raise _Estimated
 
-    monkeypatch.setattr(polytope, "_check_geometry", record)
+    monkeypatch.setattr(polytope, "check", record)
     return seen
 
 
@@ -466,7 +466,7 @@ def test_budget_admits_the_84_point_hull(monkeypatch):
     assert len(P.points) == 84
     with pytest.raises(_Estimated):
         P.vertices()
-    assert seen == [("the hull", comb(84, 3) * 84)]
+    assert seen == [("the hull", comb(84, 3) * 84, "dot products")]
 
 
 def test_interior_scan_is_priced_by_box_and_facets(monkeypatch):
@@ -475,7 +475,7 @@ def test_interior_scan_is_priced_by_box_and_facets(monkeypatch):
     seen = estimates(monkeypatch)
     with pytest.raises(_Estimated):
         P.interior_lattice_points()
-    assert seen == [("the interior scan", 3 * 3 * 5)]  # a 3x3 box, 5 facets
+    assert seen == [("the interior scan", 3 * 3 * 5, "dot products")]  # a 3x3 box, 5 facets
 
 
 def test_lower_dimensional_hulls_are_not_scanned():
