@@ -1,4 +1,4 @@
-"""p-adic unit roots: analytic approximants vs brute-force point counts.
+"""p-adic unit roots: analytic approximants vs point counts over F_p.
 
 The fibers t(X+Z)(Y+Z)(X+Y+Z) = XYZ over F_p are (mostly) elliptic curves.
 For a smooth ordinary fiber, the unit reciprocal root of its zeta numerator

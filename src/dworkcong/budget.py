@@ -38,9 +38,13 @@ COPY_BYTES = 8
 # (1+x1+x2+x3)^6/(x1*x2*x3) needs 8.0e6 for its hull (6 s).
 GEOMETRY_BUDGET = 10**7
 
-# Point evaluations of a cubic, about 4 microseconds each with CPython 3.11
-# on a 2-vCPU x86 host, so the budget is about 40 s.
+# Point evaluations: a fiber's count evaluates 2p + 1 rows and points, 0.3 to
+# 0.4 us each with CPython 3.11 on a 2-vCPU x86 host, and its smoothness rank
+# (0.25 to 0.4 ms) is priced at SMOOTH_RANK of them; the Apery terms b_0..b_{N-1}
+# are priced at N + N**2 // 2048, which took 2 to 3 us each.  So point counts
+# reach the bound in about 4 s (a p = 1993 sweep), the recurrence in 20 to 30 s.
 WORK_BUDGET = 10**7
+SMOOTH_RANK = 1024
 
 BUDGETS = {"slot-words": WALK_BUDGET, "dot products": GEOMETRY_BUDGET,
            "point evaluations": WORK_BUDGET}

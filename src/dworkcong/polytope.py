@@ -35,7 +35,6 @@ larger one is refused with ValueError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd, prod
 from operator import mul
@@ -162,7 +161,11 @@ class LatticePolytope:
         return self._hrep
 
     def _check_point(self, q):
-        q = tuple(x if isinstance(x, int) else Fraction(x) for x in q)
+        q = tuple(q)
+        if not all(isinstance(x, int) for x in q):
+            from fractions import Fraction  # 2 to 4 ms a start; every caller passes ints
+
+            q = tuple(x if isinstance(x, int) else Fraction(x) for x in q)
         if len(q) != self.arity:
             raise ValueError(f"query point {q} does not have arity {self.arity}")
         return q

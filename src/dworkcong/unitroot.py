@@ -10,8 +10,9 @@ Two independent routes to the same number:
 
         t (X+Z)(Y+Z)(X+Y+Z) = X Y Z
 
-    over F_p by brute force gives a_p = p + 1 - #points, and Hensel lifting
-    the unit root of T**2 - a_p T + p (ordinary case: a_p a unit).
+    over F_p row by row (each row a polynomial in y, a quadratic read off one
+    table of squares) gives a_p = p + 1 - #points, and Hensel lifting the
+    unit root of T**2 - a_p T + p (ordinary case: a_p a unit).
 
 The two must agree mod p**s for smooth ordinary fibers; f_1(t) mod p is the
 Hasse invariant of the family, so ordinariness can also be read off the
@@ -19,10 +20,11 @@ domain test.  Supersingular and singular t are reported, never silently
 skipped, so sweep tables are complete.
 
 Smoothness is one rank computation over F_p (`is_smooth_cubic`): F has no
-singular point over the algebraic closure exactly when the degree-5
-multiples of F, F_X, F_Y and F_Z span all quintics.  The tests check it
-against a search for singular points over F_{p**k}, k <= 4
-(tests/smooth_oracle.py).
+singular point over the algebraic closure exactly when the degree-4
+multiples of F, F_X, F_Y and F_Z span all quartics.  The tests check it
+against the degree-5 rank and a search for singular points over F_{p**k},
+k <= 4 (tests/smooth_oracle.py), and the count against the whole-plane
+enumeration.
 
 Every request is estimated before any work and refused above
 `budget.WORK_BUDGET`.
@@ -41,21 +43,21 @@ from itertools import product
 from math import log2
 
 from .apery import apery_numbers_mod
-from .budget import WORK_BUDGET, check
+from .budget import SMOOTH_RANK, WORK_BUDGET, check
 from .padic import PadicInt, _context_modulus, hensel_quadratic_unit_root, teichmuller
 
 
 def _check_work(p: int, s: int, fibers: int) -> None:
-    """Refuse (ValueError) a request over budget: fibers * p**2 point
-    evaluations for its point counts, plus N + N**2 // 2048 for the Apery
-    numbers b_0..b_{N-1}, N = p**s (the exact terms grow by about 3.5 bits
-    per index, so the recurrence costs time quadratic in N), in log2 when
-    p**s is too large to form."""
+    """Refuse (ValueError) a request over budget: per fiber, the 2p + 1 rows
+    and points of its count plus `budget.SMOOTH_RANK` for its rank; plus
+    N + N**2 // 2048 for the Apery numbers b_0..b_{N-1}, N = p**s (the exact
+    terms grow by about 3.5 bits per index, so the recurrence costs time
+    quadratic in N), in log2 when p**s is too large to form."""
     if s < 1:
         raise ValueError("s must be >= 1")
     if s < WORK_BUDGET.bit_length():
         n = p**s
-        log = log2(fibers * p * p + n + n * n // 2048)
+        log = log2(fibers * (2 * p + 1 + SMOOTH_RANK) + n + n * n // 2048)
     else:  # p**s is over the budget: its square term, N**2 // 2048, outweighs the rest
         log = 2 * min(s, 2**64) * log2(p) - 11
     check(log, f"p={p}, s={s} with {fibers} fiber(s)", "point evaluations", log=True)
@@ -299,26 +301,51 @@ def apery_fiber(p: int, t: int) -> PlaneCubic:
     return PlaneCubic(p, tuple(coeffs))
 
 
+@functools.lru_cache(maxsize=None)
+def _square_roots(p: int) -> list:
+    """How many y in F_p have y**2 = v, for each v in F_p."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    return roots
+
+
 def count_projective_points(cubic: PlaneCubic) -> int:
-    """Zeros of F among the p**2 + p + 1 points of P**2(F_p), by enumeration."""
+    """Zeros of F among the p**2 + p + 1 points of P**2(F_p), row by row.
+
+    On Z = 1 the row F(x, y, 1) is a polynomial in y.  For p odd with no
+    Y**3 term, a row A y**2 + B y + C with A != 0 has as many zeros as
+    B**2 - 4AC has square roots, read from one table per p; a linear row has
+    one zero, a nonzero constant none, and a row that vanishes identically
+    p.  Rows with a y**3 term, and every row for p = 2, try every y.  The
+    line Z = 0 takes its p + 1 points one by one.
+    """
     p = cubic.p
-    count = 0
+    c300, c210, c201, c120, c111, c102, c030, c021, c012, c003 = cubic.coeffs
+    count = (c300 == 0) + sum(
+        (((c300 * x + c210) * x + c120) * x + c030) % p == 0 for x in range(p))
+    roots = _square_roots(p) if p > 2 and not c030 else None
     for x in range(p):
-        for y in range(p):
-            if cubic.evaluate(x, y, 1) == 0:
-                count += 1
-    for x in range(p):
-        if cubic.evaluate(x, 1, 0) == 0:
+        a = (c120 * x + c021) % p
+        b = ((c210 * x + c111) * x + c012) % p
+        c = (((c300 * x + c201) * x + c102) * x + c003) % p
+        if roots is None:
+            count += sum((((c030 * y + a) * y + b) * y + c) % p == 0 for y in range(p))
+        elif a:
+            count += roots[(b * b - 4 * a * c) % p]
+        elif b:
             count += 1
-    if cubic.evaluate(1, 0, 0) == 0:
-        count += 1
+        elif not c:
+            count += p
     return count
 
 
 # -- smoothness ---------------------------------------------------------------
 
-_QUINTIC_INDEX = {mono: i for i, mono in enumerate(
-    (a, b, 5 - a - b) for a in range(5, -1, -1) for b in range(5 - a, -1, -1))}
+LINEAR_MONOMIALS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+_QUARTIC_INDEX = {mono: i for i, mono in enumerate(
+    (a, b, 4 - a - b) for a in range(4, -1, -1) for b in range(4 - a, -1, -1))}
 
 
 def _rank_mod_p(rows, p) -> int:
@@ -345,28 +372,30 @@ def is_smooth_cubic(cubic: PlaneCubic) -> bool:
 
     The singular points are the common projective zeros of F, F_X, F_Y and
     F_Z, and they have none exactly when the ideal I these forms generate
-    holds every quintic.  If they have no common zero, Lazard's form of
-    Macaulay's bound (forms of degrees 3, 2, 2, ... in three variables) puts
-    every form of degree 3 + 2 + 2 - 2 = 5 in I.  If I holds X**5, Y**5 and
-    Z**5, a common zero would be a zero of all three, and there is none.
-    The quintics of I are spanned by the 36 products of F with the six
-    quadratic monomials and of each partial with the ten cubic monomials,
-    so the test is that these span all 21 quintic monomials: one rank over
-    F_p, which equals the rank over the closure.  F must be among the
-    forms: in characteristic 3 the Euler relation 3F = X F_X + Y F_Y + Z F_Z
-    does not put F in the partials' ideal.  Cached: cubics are immutable
-    and sweeps revisit them.
+    holds every quartic.  If I holds X**4, Y**4 and Z**4, they have no
+    common zero.  Conversely, when 3 is invertible the Euler relation
+    3F = X F_X + Y F_Y + Z F_Z puts F in the ideal of the partials, and
+    three conics with no common zero hold every form of degree
+    2 + 2 + 2 - 2 = 4 (Macaulay's bound).  In characteristic 3 F's own rows
+    are needed and the bound for degrees 3, 2, 2 is 5, but the degree-4 and
+    degree-5 tests agree on every nonzero cubic over F_3
+    (tests/smooth_oracle.py), and the rank reads only those coefficients.
+    The quartics of I are spanned by the 21 products of F with X, Y, Z and
+    of each partial with the six quadratic monomials, so the test is that
+    they span all 15 quartic monomials: one rank over F_p, which equals the
+    rank over the closure.  Cached: cubics are immutable and sweeps revisit
+    them.
     """
-    forms = [(CUBIC_MONOMIALS, cubic.coeffs, QUAD_MONOMIALS)]
-    forms += [(QUAD_MONOMIALS, q, CUBIC_MONOMIALS) for q in cubic.partials()]
+    forms = [(CUBIC_MONOMIALS, cubic.coeffs, LINEAR_MONOMIALS)]
+    forms += [(QUAD_MONOMIALS, q, QUAD_MONOMIALS) for q in cubic.partials()]
     rows = []
     for monos, coeffs, multipliers in forms:
         for sx, sy, sz in multipliers:
-            row = [0] * len(_QUINTIC_INDEX)
+            row = [0] * len(_QUARTIC_INDEX)
             for (a, b, c), coef in zip(monos, coeffs):
-                row[_QUINTIC_INDEX[a + sx, b + sy, c + sz]] = coef
+                row[_QUARTIC_INDEX[a + sx, b + sy, c + sz]] = coef
             rows.append(row)
-    return _rank_mod_p(rows, cubic.p) == len(_QUINTIC_INDEX)
+    return _rank_mod_p(rows, cubic.p) == len(_QUARTIC_INDEX)
 
 
 def a_p(cubic: PlaneCubic) -> int:

@@ -513,9 +513,10 @@ def test_unitroot_over_work_budget_exit2_at_once(capsys, p, s, mode):
     assert code == 2
     assert out == ""
     assert "budget" in err
-    # a sweep counts points on p - 1 fibers; 2**40 is priced in log2, as p**s
-    # too large to form would be
-    about = {"1000003": "1e+18" if "--sweep" in mode else "1e+12", "2": "2^69"}[p]
+    # one fiber is refused for its Apery terms, N**2 // 2048 at N = p; a sweep
+    # counts points on p - 1 fibers, about 2p each; 2**40 is priced in log2,
+    # as p**s too large to form would be
+    about = {"1000003": "2e+12" if "--sweep" in mode else "4.91e+08", "2": "2^69"}[p]
     assert err.endswith(f" needs about {about} point evaluations; budget 10000000\n")
 
 

@@ -73,3 +73,23 @@ print(json.dumps({'names': names, 'same': same, 'kept': kept, 'unknown': unknown
 def test_star_import_binds_every_exported_name():
     bound = fresh("from dworkcong import *\nimport json\nprint(json.dumps(sorted(globals())))")
     assert set(EXPORTED) | set(MODULES) <= set(bound)
+
+
+def test_fractions_load_only_for_a_query_that_is_not_an_int():
+    # the CLI's geometry reads integer points alone, so a start skips `fractions`
+    checks = fresh("""
+import contextlib, io, json, sys
+before = 'fractions' in sys.modules
+from dworkcong.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(['newton', '--poly', '(1+x1)*(1+x2)*(1+x1+x2)/(x1*x2)', '--d', '2']),
+             main(['check', 'c2', '--p', '3', '--s', '2'])]
+after_cli = 'fractions' in sys.modules
+from dworkcong.polytope import newton_polytope
+from dworkcong.polyparse import parse_poly
+inside = newton_polytope(parse_poly('x1+x1^-1', 1)).contains((0.5,), strict=True)
+print(json.dumps({'before': before, 'codes': codes, 'after_cli': after_cli,
+                  'inside': inside, 'after_query': 'fractions' in sys.modules}))
+""")
+    assert checks["codes"] == [0, 0] and checks["inside"] and checks["after_query"]
+    assert checks["before"] or not checks["after_cli"]

@@ -27,6 +27,7 @@ from dworkcong.unitroot import _check_work
 from smooth_oracle import (
     _has_singular_point_charts,
     _has_singular_point_naive,
+    quintic_rank_is_smooth,
     search_is_smooth,
 )
 
@@ -212,6 +213,69 @@ def test_count_matches_naive_affine_enumeration():
     assert count_projective_points(c) == len(seen)
 
 
+def count_by_enumeration(cubic):
+    """The whole-plane oracle: F at each of the p**2 + p + 1 points of P**2(F_p)."""
+    p = cubic.p
+    points = [(x, y, 1) for x in range(p) for y in range(p)]
+    points += [(x, 1, 0) for x in range(p)] + [(1, 0, 0)]
+    return sum(cubic.evaluate(*point) == 0 for point in points)
+
+
+@pytest.mark.oracle
+def test_count_matches_enumeration_on_apery_fibers():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        for t in range(1, p):
+            c = apery_fiber(p, t)
+            assert count_projective_points(c) == count_by_enumeration(c), (p, t)
+
+
+def test_count_matches_enumeration_on_random_cubics():
+    rng = random.Random(27)
+    for p in (2, 3, 5, 7, 11, 13):
+        for i in range(60):
+            coeffs = [rng.randrange(p) for _ in range(10)]
+            coeffs[CUBIC_MONOMIALS.index((0, 3, 0))] = rng.randrange(1, p) if i % 2 else 0
+            if any(coeffs):
+                c = PlaneCubic(p, tuple(coeffs))
+                assert count_projective_points(c) == count_by_enumeration(c), (p, coeffs)
+
+
+def _row_cases(cubic):
+    """What each row F(x, y, 1) is as a polynomial in y, read off the monomials."""
+    p = cubic.p
+    cases = set()
+    for x in range(p):
+        row = [0] * 4  # coefficients of y**0 .. y**3
+        for (a, b, _), coef in zip(CUBIC_MONOMIALS, cubic.coeffs):
+            row[b] += coef * x**a
+        c, b, a, cube = (v % p for v in row)
+        if cube:
+            cases.add("cubic")
+        elif a:
+            disc = (b * b - 4 * a * c) % p
+            cases.add("double root" if disc == 0 else
+                      "two roots" if pow(disc, (p - 1) // 2, p) == 1 else "no root")
+        else:
+            cases.add("linear" if b else "constant" if c else "vanishes")
+    return cases
+
+
+def test_count_reaches_every_row_case():
+    p = 7
+    # (X - 2Z)(Y**2 + XZ + 3Z**2) contains the line X = 2Z, so its row x = 2
+    # vanishes identically and holds p points; its other rows are quadratics
+    # (x - 2)(y**2 + x + 3), a double root at x = 4.  An Apery fiber's row
+    # x = -1 is linear, and the Fermat cubic's rows are cubics in y.
+    with_line = _line_times_conic(p, (1, 0, -2), (0, 0, 1, 1, 0, 3))
+    fermat = PlaneCubic(p, (1, 0, 0, 0, 0, 0, 1, 0, 0, 1))
+    seen = set()
+    for c in (with_line, apery_fiber(p, 1), fermat):
+        assert count_projective_points(c) == count_by_enumeration(c), c
+        seen |= _row_cases(c)
+    assert seen >= {"cubic", "double root", "two roots", "no root", "linear", "vanishes"}
+    assert count_projective_points(with_line) >= p
+
+
 def test_smoothness_examples():
     xyz = PlaneCubic(2, (0, 0, 0, 0, 1, 0, 0, 0, 0, 0))
     assert not is_smooth_cubic(xyz)  # singular at (1:0:0) etc.
@@ -290,6 +354,27 @@ def test_smoothness_matches_oracle_on_apery_fibers():
             assert is_smooth_cubic(c) == search_is_smooth(c), (p, t)
 
 
+def test_quartic_rank_matches_quintic_rank_on_all_f2_cubics():
+    for coeffs in product(range(2), repeat=10):
+        if any(coeffs):
+            c = PlaneCubic(2, coeffs)
+            assert is_smooth_cubic(c) == quintic_rank_is_smooth(c), coeffs
+
+
+def test_quartic_rank_matches_quintic_rank_on_f3_sample():
+    # characteristic 3, where F is not in the partials' ideal; all 59,048
+    # cubics are compared by running tests/smooth_oracle.py
+    rng = random.Random(3)
+    smooth = 0
+    for _ in range(3000):
+        coeffs = tuple(rng.randrange(3) for _ in range(10))
+        if any(coeffs):
+            c = PlaneCubic(3, coeffs)
+            assert is_smooth_cubic(c) == quintic_rank_is_smooth(c), coeffs
+            smooth += is_smooth_cubic(c)
+    assert 0 < smooth < 3000
+
+
 def test_apery_fibers_singular_exactly_at_beukers_points():
     # the singular points of the Apery zeta(2) equation: t**2 + 11t - 1 = 0
     for p in range(2, 100):
@@ -303,16 +388,17 @@ def test_apery_fibers_singular_exactly_at_beukers_points():
 def test_smoothness_in_characteristic_three_needs_f():
     # X**3 + Y**3 + Z**3 - XYZ over F_3: the partials -YZ, -XZ, -XY vanish
     # together at (1:0:0), off the curve, so only F's own multiples make the
-    # quintics span and the cubic count as smooth
+    # quartics (and the quintics) span and the cubic count as smooth
     c = PlaneCubic(3, (1, 0, 0, 0, -1, 0, 1, 0, 0, 1))
     assert all(q[0] == 0 for q in c.partials()) and c.evaluate(1, 0, 0) != 0
-    assert is_smooth_cubic(c) and search_is_smooth(c)
+    assert is_smooth_cubic(c) and search_is_smooth(c) and quintic_rank_is_smooth(c)
 
 
 def test_work_budget():
-    # admitted: the largest sweeps the suite and the benchmark run, and a
-    # p = 101 sweep; refused: a large p, a deep s and s far beyond any p**s
-    for p, s, fibers in [(3, 9, 2), (7, 5, 6), (5, 6, 4), (19, 1, 18), (101, 2, 100)]:
+    # admitted: the largest sweeps the suite and the benchmark run, and
+    # p = 101 and p = 1009 sweeps; refused: a large p, a deep s and s far beyond any p**s
+    for p, s, fibers in [(3, 9, 2), (7, 5, 6), (5, 6, 4), (19, 1, 18), (101, 2, 100),
+                         (1009, 1, 1008)]:
         _check_work(p, s, fibers)
     for p, s, fibers in [(1000003, 1, 1), (2, 40, 1), (2, 10**12, 1), (3, 15, 2)]:
         with pytest.raises(ValueError, match="needs about .* point evaluations; budget 10000000"):
